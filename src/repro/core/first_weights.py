@@ -29,7 +29,7 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import distances_to
-from ..solvers.assignment import all_or_nothing_assignment
+from ..routing.kernel import RoutingKernel
 from ..solvers.subgradient import StepRule, default_step_for_capacities, project_nonnegative
 from .objectives import LoadBalanceObjective
 
@@ -140,6 +140,7 @@ def compute_first_weights(
         )
     step_rule = step_rule or default_step_for_capacities(capacities, step_ratio)
 
+    kernel = RoutingKernel(network, demands)
     destinations = demands.destinations()
     flow_average: dict[Node, np.ndarray] = {
         destination: np.zeros(network.num_links) for destination in destinations
@@ -155,7 +156,7 @@ def compute_first_weights(
         spare = np.minimum(objective.derivative_inverse(weights), capacities)
         spare = np.maximum(spare, 0.0)
         # Per-destination routing subproblem: shortest-path all-or-nothing.
-        routing = all_or_nothing_assignment(network, demands, weights)
+        routing = kernel.first_hop(weights)
         aggregate = routing.aggregate()
         # Primal recovery: running average of routing solutions.
         samples += 1

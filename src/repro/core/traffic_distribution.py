@@ -108,11 +108,10 @@ def traffic_distribution(
         weighted by the number of downstream equal-cost paths.
     backend:
         ``"sparse"`` computes the exponential ratios and the propagation with
-        the compiled vectorised backend, ``"python"`` runs the dict-loop
-        reference above; ``None`` uses the library default.  Callers that
-        re-evaluate many ``v`` against fixed DAGs (Algorithm 2) should use
-        :class:`repro.routing.CompiledDagSet` directly to amortise the DAG
-        compilation as well.
+        the all-destination :class:`repro.routing.RoutingKernel`,
+        ``"python"`` runs the dict-loop reference above; ``None`` uses the
+        library default.  Callers that re-evaluate many ``v`` against fixed
+        DAGs (Algorithm 2) should keep one kernel to amortise its build.
     """
     if resolve_backend(backend) == "sparse":
         return sparse_traffic_distribution(network, demands, dags, second_weights)

@@ -88,6 +88,13 @@ class Network:
         # out_links/in_links millions of times on a static topology).
         self._out_cache: dict[Node, list[Link]] = {}
         self._in_cache: dict[Node, list[Link]] = {}
+        # Read-only capacity/delay vectors, built on first use (the solvers
+        # read them once per line-search step).
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        # Unpickled arrays come back writeable: rebuild the vectors instead.
+        return {**self.__dict__, "_vectors": {}}
 
     # ------------------------------------------------------------------
     # construction
@@ -131,6 +138,7 @@ class Network:
         self._in_links[target].append(link.index)
         self._out_cache.pop(source, None)
         self._in_cache.pop(target, None)
+        self._vectors.clear()
         return link
 
     def add_duplex_link(
@@ -246,13 +254,21 @@ class Network:
     # ------------------------------------------------------------------
     @property
     def capacities(self) -> np.ndarray:
-        """Link capacities as a vector indexed by link index."""
-        return np.array([link.capacity for link in self._links], dtype=float)
+        """Link capacities by link index: a shared read-only array (copy to write)."""
+        return self._link_vector("capacity")
 
     @property
     def delays(self) -> np.ndarray:
-        """Link delays as a vector indexed by link index."""
-        return np.array([link.delay for link in self._links], dtype=float)
+        """Link delays by link index: a shared read-only array (copy to write)."""
+        return self._link_vector("delay")
+
+    def _link_vector(self, attribute: str) -> np.ndarray:
+        vector = self._vectors.get(attribute)
+        if vector is None:
+            vector = np.array([getattr(link, attribute) for link in self._links], dtype=float)
+            vector.flags.writeable = False
+            self._vectors[attribute] = vector
+        return vector
 
     def capacity_of(self, source: Node, target: Node) -> float:
         return self.link(source, target).capacity

@@ -1,8 +1,9 @@
-"""Vectorized sparse routing backend (compile DAGs once, route with numpy).
+"""Vectorized routing: the solver-loop kernel and the sparse backend.
 
-Every hot routing path in the library -- ECMP / all-or-nothing assignment,
-SPEF's exponential traffic distribution, the scenario engine's sweeps -- can
-run on one of two interchangeable backends:
+The solver loops (Frank-Wolfe, Algorithms 1 and 2) always run on
+:class:`RoutingKernel` (:mod:`repro.routing.kernel`).  The other routing
+paths -- ECMP / split-ratio assignment, the protocol evaluations, the
+scenario engine's sweeps -- run on one of two interchangeable backends:
 
 * ``"python"`` -- the original per-destination dict-loop implementations in
   :mod:`repro.solvers.assignment` and :mod:`repro.core.traffic_distribution`,
@@ -35,11 +36,11 @@ from __future__ import annotations
 import os
 
 from .compiled import CompiledDag, warn_degenerate_split
+from .kernel import RoutingKernel
 from .sparse import (
     CompiledDagSet,
     SparseRouter,
     batched_link_loads,
-    sparse_all_or_nothing_assignment,
     sparse_ecmp_assignment,
     sparse_split_ratio_assignment,
     sparse_traffic_distribution,
@@ -92,12 +93,12 @@ __all__ = [
     "BACKENDS",
     "CompiledDag",
     "CompiledDagSet",
+    "RoutingKernel",
     "SparseRouter",
     "batched_link_loads",
     "get_default_backend",
     "resolve_backend",
     "set_default_backend",
-    "sparse_all_or_nothing_assignment",
     "sparse_ecmp_assignment",
     "sparse_split_ratio_assignment",
     "sparse_traffic_distribution",

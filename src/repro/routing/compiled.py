@@ -192,12 +192,6 @@ class CompiledDag:
             inverse = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1), 0.0)
         return np.repeat(inverse, degrees)
 
-    def first_hop_ratios(self) -> np.ndarray:
-        """All-or-nothing split: the first next hop of every node gets 1.0."""
-        ratios = np.zeros(self.num_edges)
-        ratios[self.indptr[:-1][np.diff(self.indptr) > 0]] = 1.0
-        return ratios
-
     def bind_ratios(
         self,
         split_ratios: Mapping[Node, Mapping[Node, float]] | None,
@@ -258,38 +252,13 @@ class CompiledDag:
                 count = int(self.indptr[position + 1] - self.indptr[position])
                 warn_degenerate_split(self.order[position], self.destination, total, count)
 
-    def exponential_ratios(self, link_lengths: np.ndarray) -> np.ndarray:
-        """The exponential split ratios of Eq. (22), vectorised.
-
-        ``link_lengths`` is a link-indexed vector (e.g. the second weights
-        ``v``); the ratio of edge ``(s, k)`` is
-        ``exp(-v_sk) * Z(k) / sum_i exp(-v_si) * Z(i)`` where the path-weight
-        sums ``Z`` are computed by one reverse topological sweep.  Rows whose
-        total is numerically zero fall back to an even split, matching
-        :func:`repro.core.traffic_distribution.exponential_split_ratios`.
-        """
-        lengths = np.asarray(link_lengths, dtype=float)
-        boltzmann = np.exp(-lengths[self.links]) if self.num_edges else np.empty(0)
-        z_values = self.path_weight_sums(boltzmann)
-        data = boltzmann * z_values[self.targets]
-        totals = np.zeros(self.num_nodes)
-        np.add.at(totals, self.rows, data)
-        edge_totals = totals[self.rows]
-        degrees = self.out_degree()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                edge_totals > 0,
-                np.divide(data, edge_totals, out=np.zeros_like(data), where=edge_totals > 0),
-                1.0 / degrees[self.rows],
-            )
-        return ratios
-
     def path_weight_sums(self, edge_factors: np.ndarray) -> np.ndarray:
         """``Z(s) = sum over DAG paths p from s of prod of edge factors on p``.
 
         One reverse topological sweep; ``Z(destination) = 1``.  With
         ``edge_factors = exp(-v)`` this is the dynamic program of the paper's
-        Eq. (22) (:func:`repro.core.traffic_distribution.path_weight_sums`).
+        Eq. (22) (:func:`repro.core.traffic_distribution.path_weight_sums`);
+        PEFT's exponential penalties reuse it.
         """
         z_values = np.zeros(self.num_nodes)
         destination_pos = self.positions[self.destination]

@@ -8,7 +8,8 @@ Three layers, from most throwaway to most amortised:
   use them through the ``backend="sparse"`` switch of the oracle functions.
 * :class:`CompiledDagSet` -- compile a ``{destination: dag}`` mapping once
   and route arbitrarily many demand matrices / split-ratio settings against
-  it.  This is what Algorithm 2's gradient loop and the SPEF pipeline use.
+  it -- except Algorithm 3, which is not amortised: it builds a new
+  :class:`~repro.routing.kernel.RoutingKernel` per call (hold one instead).
 * :class:`SparseRouter` -- owns the whole pipeline for one weight setting
   (Dijkstra, compilation, ratio binding) and exposes the batched entry point
   :meth:`SparseRouter.link_loads_many` that evaluates a whole demand ensemble
@@ -38,9 +39,10 @@ from ..network.spt import (
     shortest_path_dag,
 )
 from .compiled import CompiledDag
+from .kernel import RoutingKernel
 
 #: Ratio modes understood by :class:`SparseRouter`.
-_MODES = ("ecmp", "all_or_nothing", "split")
+_MODES = ("ecmp", "split")
 
 
 # ----------------------------------------------------------------------
@@ -112,22 +114,13 @@ class CompiledDagSet:
     def traffic_distribution(
         self, demands: TrafficMatrix, second_weights: np.ndarray
     ) -> FlowAssignment:
-        """Algorithm 3 (exponential splitting) against the compiled DAGs.
+        """Algorithm 3 (exponential splitting) over the set's DAGs.
 
-        Equivalent to :func:`repro.core.traffic_distribution.traffic_distribution`
-        but with the DAG compilation amortised across calls -- the shape of
-        Algorithm 2's inner loop, which re-evaluates this for a new ``v``
-        every gradient iteration.
+        Equivalent to :func:`repro.core.traffic_distribution.traffic_distribution`;
+        not amortised: each call builds a new :class:`~repro.routing.kernel.RoutingKernel`
+        and ignores the compiled cache (Algorithm 2 holds one kernel for its loop).
         """
-        second = np.asarray(second_weights, dtype=float)
-        flows = FlowAssignment(network=self.network)
-        for destination, entering in demands.by_destination().items():
-            compiled = self.compiled(destination)
-            ratios = compiled.exponential_ratios(second)
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing="drop")
-            compiled.scatter_link_loads(compiled.propagate(demand, ratios), ratios, out=vector)
-        return flows
+        return RoutingKernel(self.network, demands, dags=self._dags).exponential(second_weights)
 
     def split_ratio_flows(
         self,
@@ -158,9 +151,8 @@ class SparseRouter:
         Precomputed ``dags`` may be passed instead of (or alongside) weights;
         missing destinations are then built from ``weights`` on demand.
     mode:
-        ``"ecmp"`` (even split, the OSPF behaviour), ``"all_or_nothing"``
-        (single path, deterministic first-hop tie break) or ``"split"``
-        (explicit per-destination ratios handed to the routing calls).
+        ``"ecmp"`` (even split, the OSPF behaviour) or ``"split"`` (explicit
+        per-destination ratios handed to the routing calls).
     tolerance:
         ECMP cost tolerance for DAG construction.
 
@@ -230,10 +222,7 @@ class SparseRouter:
     def _mode_ratios(self, destination: Node, compiled: CompiledDag) -> np.ndarray:
         ratios = self._ratios.get(destination)
         if ratios is None:
-            if self.mode == "all_or_nothing":
-                ratios = compiled.first_hop_ratios()
-            else:
-                ratios = compiled.uniform_ratios()
+            ratios = compiled.uniform_ratios()
             self._ratios[destination] = ratios
         return ratios
 
@@ -345,17 +334,6 @@ def sparse_ecmp_assignment(
     return router.route(demands)
 
 
-def sparse_all_or_nothing_assignment(
-    network: Network,
-    demands: TrafficMatrix,
-    weights: WeightsLike,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.solvers.assignment.all_or_nothing_assignment`."""
-    router = SparseRouter(network, weights=weights, mode="all_or_nothing", tolerance=tolerance)
-    return router.route(demands)
-
-
 def sparse_split_ratio_assignment(
     network: Network,
     demands: TrafficMatrix,
@@ -375,14 +353,7 @@ def sparse_traffic_distribution(
     second_weights: np.ndarray,
 ) -> FlowAssignment:
     """Vectorized twin of :func:`repro.core.traffic_distribution.traffic_distribution`."""
-    demands.validate(network)
-    second = np.asarray(second_weights, dtype=float)
-    if second.shape != (network.num_links,):
-        raise ValueError(
-            f"second weights must have length {network.num_links}, got {second.shape}"
-        )
-    dag_set = CompiledDagSet(network, dags)
-    return dag_set.traffic_distribution(demands, second)
+    return RoutingKernel(network, demands, dags=dags).exponential(second_weights)
 
 
 def batched_link_loads(

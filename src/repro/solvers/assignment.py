@@ -15,11 +15,13 @@ Both propagate flow per destination over the shortest-path DAG in decreasing
 distance order, so a node's whole incoming flow (local demand plus transit) is
 known before it is split -- the same bookkeeping Algorithm 3 of the paper uses.
 
-Each routine dispatches between two interchangeable backends (see
-:mod:`repro.routing`): ``"sparse"`` compiles the DAGs into CSR split-ratio
-matrices and propagates with vectorised forward substitution, ``"python"``
-(the default for these one-shot calls) runs the dict-loop implementation
-kept here as the reference oracle.  ``tests/test_routing_equivalence.py``
+The ECMP and split-ratio routines dispatch between two interchangeable
+backends (see :mod:`repro.routing`): ``"sparse"`` compiles the DAGs into CSR
+split-ratio matrices and propagates with vectorised forward substitution,
+``"python"`` (the default for these one-shot calls) runs the dict-loop
+implementation kept here as the reference oracle.  All-or-nothing routing is
+the oracle only; the solver loops use the all-destination
+:class:`~repro.routing.kernel.RoutingKernel`.  ``tests/test_routing_equivalence.py``
 pins their agreement; for many matrices against one weight setting use the
 always-sparse batched entry points in :mod:`repro.routing` instead.
 """
@@ -41,7 +43,6 @@ from ..network.spt import (
 from ..routing import resolve_backend
 from ..routing.compiled import warn_degenerate_split
 from ..routing.sparse import (
-    sparse_all_or_nothing_assignment,
     sparse_ecmp_assignment,
     sparse_split_ratio_assignment,
 )
@@ -140,17 +141,16 @@ def all_or_nothing_assignment(
     demands: TrafficMatrix,
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
-    backend: str | None = None,
 ) -> FlowAssignment:
     """Route every demand along a single shortest path (no splitting).
 
     Ties are broken deterministically by picking the first next hop of the
     DAG, so repeated calls with the same inputs give the same flows -- a
     property the sub-gradient iterations of Algorithm 1 rely on for
-    reproducibility.
+    reproducibility.  This is the reference oracle: the solver loops route
+    through :meth:`repro.routing.kernel.RoutingKernel.first_hop`, which
+    falls back to this function on zero-weight plateaus.
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_all_or_nothing_assignment(network, demands, weights, tolerance)
     demands.validate(network)
     flows = FlowAssignment(network=network)
     for destination, entering in demands.by_destination().items():

@@ -12,7 +12,8 @@ flow-deviation method applies directly:
 1. linearise the cost at the current aggregate flow, which yields link costs
    ``w_ij = V'_ij(c_ij - f_ij)`` -- exactly the paper's first link weights;
 2. solve the linearised subproblem, i.e. route all demands on shortest paths
-   under ``w`` (all-or-nothing assignment);
+   under ``w`` (all-or-nothing assignment, by the all-destination
+   :class:`~repro.routing.kernel.RoutingKernel` built once per solve);
 3. move towards that extreme point with an exact line search.
 
 For strictly concave barrier-like utilities (``beta >= 1``) the cost diverges
@@ -34,7 +35,7 @@ import numpy as np
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network
-from .assignment import all_or_nothing_assignment
+from ..routing.kernel import RoutingKernel
 from .mcf import SolverError, solve_min_cost_mcf, solve_min_mlu
 
 #: Signature of a link congestion-cost oracle: given the aggregate flow vector
@@ -133,6 +134,7 @@ def solve_frank_wolfe(
     else:
         current = initial_flows.copy()
 
+    kernel = RoutingKernel(network, demands) if barrier else None
     history: list[float] = []
     relative_gap = np.inf
     converged = False
@@ -140,8 +142,8 @@ def solve_frank_wolfe(
     for iteration in range(1, max_iterations + 1):  # noqa: B007
         aggregate = current.aggregate()
         weights = np.maximum(gradient(aggregate), 0.0)
-        if barrier:
-            target = all_or_nothing_assignment(network, demands, weights)
+        if kernel is not None:
+            target = kernel.first_hop(weights)
         else:
             target = solve_min_cost_mcf(network, demands, weights, capacitated=True).flows
 

@@ -99,6 +99,33 @@ class TestQueries:
     def test_capacity_of(self, diamond_network):
         assert diamond_network.capacity_of(1, 2) == pytest.approx(10.0)
 
+    def test_capacity_and_delay_vectors_are_shared_read_only(self, diamond_network):
+        capacities, delays = diamond_network.capacities, diamond_network.delays
+        assert diamond_network.capacities is capacities
+        assert diamond_network.delays is delays
+        with pytest.raises(ValueError, match="read-only"):
+            capacities[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            delays += 1.0
+        writable = capacities.copy()
+        writable[0] = 1.0
+        assert diamond_network.capacities[0] == pytest.approx(10.0)
+
+    def test_add_link_refreshes_capacity_and_delay_vectors(self, diamond_network):
+        before = diamond_network.capacities
+        assert diamond_network.delays.shape == (4,)
+        diamond_network.add_link(4, 1, 7.0, delay=3.0)
+        assert before.shape == (4,)
+        assert list(diamond_network.capacities) == [10.0, 10.0, 10.0, 10.0, 7.0]
+        assert list(diamond_network.delays) == [1.0, 1.0, 1.0, 1.0, 3.0]
+
+    def test_unpickled_network_rebuilds_read_only_vectors(self, diamond_network):
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(diamond_network))
+        assert not clone.capacities.flags.writeable
+        np.testing.assert_array_equal(clone.capacities, diamond_network.capacities)
+
 
 class TestWeightConversions:
     def test_weight_vector_roundtrip(self, diamond_network):

@@ -1,13 +1,14 @@
-"""Golden equivalence of the sparse routing backend against the Python oracle.
+"""Golden equivalence of the vectorized routing paths against the Python oracle.
 
-The vectorized backend in :mod:`repro.routing` must be a *drop-in* for the
-dict-loop reference implementations: identical link loads (within 1e-9,
-in practice float round-off), identical per-destination decompositions,
-identical error behaviour on unroutable demands, identical fallbacks on
-degenerate split ratios.  These properties are checked on random topologies
-and demand patterns generated by Hypothesis -- including ECMP ties (duplicate
-and zero weights), zero-demand nodes and disconnected graphs -- plus a few
-hand-built worst cases.
+The sparse backend and the solver-loop :class:`~repro.routing.kernel.RoutingKernel`
+in :mod:`repro.routing` must be *drop-ins* for the dict-loop reference
+implementations: identical link loads (within 1e-9 for the backend, 1e-12
+relative for the kernel; in practice float round-off), identical
+per-destination decompositions, identical error behaviour on unroutable
+demands, identical fallbacks on degenerate split ratios.  These properties
+are checked on random topologies and demand patterns generated by Hypothesis
+-- including ECMP ties (duplicate and zero weights), zero-demand nodes and
+disconnected graphs -- plus a few hand-built worst cases.
 
 Run under the ``ci`` Hypothesis profile (``HYPOTHESIS_PROFILE=ci``) the
 examples are derandomised so any failure reproduces exactly.
@@ -25,8 +26,9 @@ from repro.core.traffic_distribution import traffic_distribution
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
 from repro.network.graph import Network
-from repro.network.spt import UnreachableError, all_shortest_path_dags
-from repro.routing import SparseRouter, batched_link_loads
+from repro.network.spt import UnreachableError, _dijkstra_to, all_shortest_path_dags
+from repro.obs import telemetry
+from repro.routing import RoutingKernel, SparseRouter, batched_link_loads
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
@@ -34,6 +36,8 @@ from repro.solvers.assignment import (
 )
 
 TOLERANCE = 1e-9
+#: Relative load agreement of the kernel with the oracle.
+KERNEL_RTOL = 1e-12
 
 #: Weight pool: zeros create zero-cost plateaus, duplicates create ECMP ties.
 WEIGHT_POOL = (0.0, 1.0, 1.0, 2.0, 3.0, 5.0)
@@ -117,6 +121,26 @@ def assert_flows_equal(python: FlowAssignment, sparse: FlowAssignment) -> None:
         )
 
 
+def assert_kernel_matches(oracle: FlowAssignment, kernel: FlowAssignment) -> None:
+    """Same destinations, same used links, loads within KERNEL_RTOL."""
+    assert list(oracle.per_destination) == list(kernel.per_destination)
+    for destination, vector in oracle.per_destination.items():
+        other = kernel.per_destination[destination]
+        np.testing.assert_array_equal(vector > 0, other > 0)
+        np.testing.assert_allclose(other, vector, rtol=KERNEL_RTOL, atol=0)
+
+
+def first_hop_both(net: Network, tm: TrafficMatrix, weights: np.ndarray):
+    """``(oracle, kernel)`` all-or-nothing flows, or ``(exc, exc)`` when both raise."""
+    try:
+        oracle = all_or_nothing_assignment(net, tm, weights)
+    except UnreachableError as exc:
+        with pytest.raises(UnreachableError):
+            RoutingKernel(net, tm).first_hop(weights)
+        return exc, exc
+    return oracle, RoutingKernel(net, tm).first_hop(weights)
+
+
 def run_both(fn, *args, **kwargs):
     """Run a backend-switchable routine on both backends.
 
@@ -147,10 +171,11 @@ class TestEquivalenceOnRandomInstances:
 
     @given(instance=routing_instance())
     def test_all_or_nothing(self, instance):
+        """The kernel picks the oracle's hops, also where zeros force the fallback."""
         net, weights, tm = instance
-        python, sparse = run_both(all_or_nothing_assignment, net, tm, weights)
-        if isinstance(python, FlowAssignment):
-            assert_flows_equal(python, sparse)
+        oracle, kernel = first_hop_both(net, tm, weights)
+        if isinstance(oracle, FlowAssignment):
+            assert_kernel_matches(oracle, kernel)
 
     @given(instance=routing_instance(), data=st.data())
     def test_split_ratios(self, instance, data):
@@ -317,14 +342,122 @@ class TestEquivalenceCorners:
         np.testing.assert_allclose(batch[1], 2.0 * single, atol=1e-8, rtol=0)
 
     def test_all_or_nothing_tie_break_matches_oracle(self, diamond_network, diamond_demands):
-        """Deterministic first-hop tie break picks the same path on both."""
+        """Deterministic first-hop tie break picks the same path in the kernel."""
         weights = np.ones(diamond_network.num_links)
-        python, sparse = run_both(
-            all_or_nothing_assignment, diamond_network, diamond_demands, weights
+        oracle, kernel = first_hop_both(diamond_network, diamond_demands, weights)
+        assert_kernel_matches(oracle, kernel)
+        used = [edge for edge, value in kernel.aggregate_dict().items() if value > 0]
+        assert used == [(1, 2), (2, 4)]  # one path, the lowest out-link rank
+
+
+# ----------------------------------------------------------------------
+# the solver-loop kernel
+# ----------------------------------------------------------------------
+#: Strictly positive float weights: path sums round differently per path.
+positive_weights = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
+
+
+def augment_downhill(net: Network, dags: dict) -> None:
+    """Add every strictly downhill link to the DAGs, as SPEF's augmentation may."""
+    for dag in dags.values():
+        for link in net.links:
+            du = dag.distances.get(link.source)
+            dv = dag.distances.get(link.target)
+            if du is None or dv is None or dv >= du:
+                continue
+            hops = dag.next_hops.setdefault(link.source, [])
+            if link.target not in hops:
+                hops.append(link.target)
+
+
+class TestRoutingKernel:
+    @given(data=st.data())
+    def test_first_hop_on_positive_weights(self, data):
+        """Float weights: same chosen hops as the oracle, loads to 1e-12."""
+        net, _ = data.draw(topology(connected=True))
+        tm = data.draw(demands_for(net))
+        weights = np.array(
+            data.draw(st.lists(positive_weights, min_size=net.num_links, max_size=net.num_links))
         )
-        assert_flows_equal(python, sparse)
-        used = [edge for edge, value in sparse.aggregate_dict().items() if value > 0]
-        assert len(used) == 2  # one path, not a split
+        oracle, kernel = first_hop_both(net, tm, weights)
+        assert_kernel_matches(oracle, kernel)
+
+    @given(data=st.data())
+    def test_distances_bit_identical_to_oracle_dijkstra(self, data):
+        """Measured, not guaranteed (the oracle relaxes with ``< d - 1e-15``)."""
+        net, _ = data.draw(topology(connected=data.draw(st.booleans())))
+        weights = np.array(
+            data.draw(st.lists(positive_weights, min_size=net.num_links, max_size=net.num_links))
+        )
+        tm = TrafficMatrix({(net.nodes[1], t): 1.0 for t in net.nodes if t != net.nodes[1]})
+        kernel = RoutingKernel(net, tm)
+        distances = kernel.distances(weights)
+        for row, destination in enumerate(kernel.destinations):
+            oracle, _ = _dijkstra_to(net, destination, weights)
+            expected = np.full(net.num_nodes, np.inf)
+            for node, value in oracle.items():
+                expected[net.node_index(node)] = value
+            np.testing.assert_array_equal(distances[row], expected)
+
+    @given(instance=routing_instance(connected=False), data=st.data())
+    def test_exponential_matches_traffic_distribution(self, instance, data):
+        """Algorithm 3, dropping unreachable sources, as the oracle does."""
+        net, weights, tm = instance
+        dags = all_shortest_path_dags(net, tm.destinations(), weights)
+        if data.draw(st.booleans(), label="augment"):
+            augment_downhill(net, dags)
+        second = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+                    min_size=net.num_links,
+                    max_size=net.num_links,
+                )
+            )
+        )
+        oracle = traffic_distribution(net, tm, dags, second, backend="python")
+        kernel = RoutingKernel(net, tm, dags=dags).exponential(second)
+        assert_kernel_matches(oracle, kernel)
+
+    def test_exponential_on_augmented_fig4(self, fig4, fig4_tm):
+        weights = np.ones(fig4.num_links)
+        dags = all_shortest_path_dags(fig4, fig4_tm.destinations(), weights)
+        augment_downhill(fig4, dags)
+        kernel = RoutingKernel(fig4, fig4_tm, dags=dags)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            second = rng.random(fig4.num_links)
+            oracle = traffic_distribution(fig4, fig4_tm, dags, second, backend="python")
+            assert_kernel_matches(oracle, kernel.exponential(second))
+
+    def test_exponential_requires_dags(self, diamond_network, diamond_demands):
+        with pytest.raises(ValueError, match="DAGs"):
+            RoutingKernel(diamond_network, diamond_demands).exponential(np.zeros(4))
+        with pytest.raises(UnreachableError, match="no shortest-path DAG"):
+            RoutingKernel(diamond_network, diamond_demands, dags={})
+
+    def test_unreachable_first_hop_demand_raises(self):
+        net = Network(name="oneway")
+        net.add_link(1, 2, 10.0)
+        net.add_link(2, 3, 10.0)
+        tm = TrafficMatrix({(1, 3): 1.0, (3, 1): 2.0})
+        with pytest.raises(UnreachableError, match="cannot reach"):
+            RoutingKernel(net, tm).first_hop(np.ones(2))
+
+    def test_zero_weight_plateau_takes_counted_oracle_fallback(self):
+        net = Network(name="plateau")
+        for u, v in [(1, 2), (2, 3), (1, 3), (3, 4)]:
+            net.add_duplex_link(u, v, 10.0)
+        tm = TrafficMatrix({(1, 4): 6.0, (2, 4): 3.0, (4, 1): 2.0})
+        weights = np.ones(net.num_links)
+        weights[[net.link_index(1, 2), net.link_index(2, 3)]] = 0.0
+        kernel = RoutingKernel(net, tm)
+        with telemetry.session() as registry:
+            flows = kernel.first_hop(weights)
+            kernel.first_hop(np.ones(net.num_links))
+        assert registry.counter_value("routing.kernel", mode="first_hop") == 2
+        assert registry.counter_value("routing.kernel_fallback", reason="zero_weight") == 1
+        assert_kernel_matches(all_or_nothing_assignment(net, tm, weights), flows)
 
 
 # ----------------------------------------------------------------------

@@ -42,15 +42,13 @@ class TestCompiledDag:
         sums = matrix.sum(axis=1)
         assert sums[: diamond_compiled.num_nodes - 1] == pytest.approx(1.0)
 
-    def test_uniform_and_first_hop_ratios(self, diamond_compiled):
+    def test_uniform_ratios(self, diamond_compiled):
         uniform = diamond_compiled.uniform_ratios()
-        first = diamond_compiled.first_hop_ratios()
         degrees = diamond_compiled.out_degree()
         start = diamond_compiled.indptr[0]
         end = diamond_compiled.indptr[1]
         if end - start == 2:  # node 1 splits over 2 and 3
             assert uniform[start] == pytest.approx(0.5)
-            assert first[start] == 1.0 and first[start + 1] == 0.0
         assert uniform.sum() == pytest.approx(int((degrees > 0).sum()))
 
     def test_propagate_solves_unit_triangular_system(self, diamond_compiled):
@@ -149,7 +147,11 @@ class TestCompiledDagSet:
             dag_set.compiled(4)
 
     def test_amortised_traffic_distribution_matches_fresh(self, abilene, abilene_tm):
-        """The compile-once path equals recompiling per call (NEM's contract)."""
+        """The set's Algorithm 3 entry point matches the oracle on every call.
+
+        It builds a fresh routing kernel per call (no amortisation); the test
+        only pins that repeated calls on one set keep agreeing with the oracle.
+        """
         from repro.core.traffic_distribution import traffic_distribution
 
         weights = np.ones(abilene.num_links)
@@ -164,19 +166,24 @@ class TestCompiledDagSet:
                 amortised.aggregate(), fresh.aggregate(), atol=1e-9, rtol=0
             )
 
-    def test_nem_backends_converge_to_same_flows(self, fig4, fig4_tm):
-        """Algorithm 2 run on both backends yields matching flows and weights."""
-        weights = np.ones(fig4.num_links)
-        dags = all_shortest_path_dags(fig4, fig4_tm.destinations(), weights)
+    def test_nem_backends_converge_to_same_flows(self, fig4, fig4_tm, monkeypatch):
+        """Algorithm 2 on the kernel and on the oracle: matching flows and weights."""
+        from repro.core.traffic_distribution import traffic_distribution
+        from repro.routing.kernel import RoutingKernel
         from repro.solvers.assignment import ecmp_assignment
 
+        weights = np.ones(fig4.num_links)
+        dags = all_shortest_path_dags(fig4, fig4_tm.destinations(), weights)
         target = ecmp_assignment(fig4, fig4_tm, weights).aggregate()
-        sparse = compute_second_weights(
-            fig4, fig4_tm, dags, target, max_iterations=40, backend="sparse"
+        sparse = compute_second_weights(fig4, fig4_tm, dags, target, max_iterations=40)
+        monkeypatch.setattr(
+            RoutingKernel,
+            "exponential",
+            lambda self, second: traffic_distribution(
+                fig4, fig4_tm, dags, second, backend="python"
+            ),
         )
-        python = compute_second_weights(
-            fig4, fig4_tm, dags, target, max_iterations=40, backend="python"
-        )
+        python = compute_second_weights(fig4, fig4_tm, dags, target, max_iterations=40)
         assert sparse.iterations == python.iterations
         np.testing.assert_allclose(sparse.weights, python.weights, atol=1e-9)
         np.testing.assert_allclose(
@@ -204,14 +211,3 @@ class TestSparseRouter:
     def test_empty_ensemble(self, diamond_network):
         router = SparseRouter(diamond_network, weights=np.ones(4))
         assert router.link_loads_many([]).shape == (0, 4)
-
-    def test_all_or_nothing_mode(self, diamond_network, diamond_demands):
-        from repro.solvers.assignment import all_or_nothing_assignment
-
-        router = SparseRouter(diamond_network, weights=np.ones(4), mode="all_or_nothing")
-        oracle = all_or_nothing_assignment(
-            diamond_network, diamond_demands, np.ones(4), backend="python"
-        )
-        np.testing.assert_allclose(
-            router.link_loads(diamond_demands), oracle.aggregate(), atol=1e-9
-        )
