@@ -148,10 +148,7 @@ class LoadBalanceObjective:
         the latter to the link capacity.
         """
         w = np.asarray(weights, dtype=float)
-        q = self._coefficients(np.broadcast_to(np.zeros(1), w.shape) if w.ndim else np.asarray(0.0))
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim == 0:
-            q = np.full_like(w, float(q))
+        q = self._coefficients(w)
         if self.beta == 0.0:
             return np.where(w >= q, 0.0, np.inf)
         with np.errstate(divide="ignore"):

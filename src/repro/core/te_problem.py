@@ -137,9 +137,7 @@ def solve_optimal_te(
     result = solve_frank_wolfe(
         network,
         demands,
-        cost=lambda f: objective.congestion_cost(network, f),
-        gradient=lambda f: objective.congestion_gradient(network, f),
-        barrier=objective.is_barrier(),
+        objective,
         max_iterations=max_iterations,
         tolerance=tolerance,
         initial_flows=initial_flows,

@@ -24,6 +24,7 @@ counted as ``routing.kernel_fallback[reason=zero_weight]``.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,13 +82,20 @@ class RoutingKernel:
         per_destination = dict(zip(self.destinations, loads, strict=True))
         return FlowAssignment(network=self.network, per_destination=per_destination)
 
+    @cached_property
+    def _reversed(self) -> sp.csr_matrix:
+        """The reversed link CSR, built on first use; :meth:`distances`
+        refreshes its data in place."""
+        n = self.network.num_nodes
+        csr = (np.zeros(self.network.num_links), self._tails[self._csr_order], self._csr_indptr)
+        return sp.csr_matrix(csr, shape=(n, n))
+
     def distances(self, weights: np.ndarray) -> np.ndarray:
         """``(destinations, nodes)`` shortest distances to each destination."""
         from scipy.sparse.csgraph import dijkstra  # lazy: ~1 MB RSS the other paths skip
 
-        n = self.network.num_nodes
-        csr = (weights[self._csr_order], self._tails[self._csr_order], self._csr_indptr)
-        graph = sp.csr_matrix(csr, shape=(n, n))
+        graph = self._reversed
+        graph.data[:] = weights[self._csr_order]
         return np.asarray(dijkstra(graph, directed=True, indices=self._targets))
 
     # ------------------------------------------------------------------

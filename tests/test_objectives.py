@@ -114,6 +114,11 @@ class TestDerivatives:
         assert inverse[0] == 0.0
         assert inverse[1] == np.inf
 
+    def test_derivative_inverse_rejects_mismatched_q(self):
+        objective = LoadBalanceObjective(beta=1.0, q=np.array([1.0, 2.0]))
+        with pytest.raises(ObjectiveError, match="shape"):
+            objective.derivative_inverse(np.array([1.0, 2.0, 3.0]))
+
     def test_mm1_example1_weights(self, fig1):
         # Example 1: with beta=1 the optimal weight is 1 / (c - f).
         objective = LoadBalanceObjective.proportional()

@@ -399,6 +399,19 @@ class TestRoutingKernel:
                 expected[net.node_index(node)] = value
             np.testing.assert_array_equal(distances[row], expected)
 
+    @given(data=st.data())
+    def test_reused_kernel_distances_match_a_fresh_kernel(self, data):
+        """The CSR is built once and refreshed in place: no state carries over."""
+        net, _ = data.draw(topology(connected=data.draw(st.booleans())))
+        weight_vectors = st.lists(positive_weights, min_size=net.num_links, max_size=net.num_links)
+        first, second = np.array(data.draw(weight_vectors)), np.array(data.draw(weight_vectors))
+        tm = TrafficMatrix({(net.nodes[1], t): 1.0 for t in net.nodes if t != net.nodes[1]})
+        reused = RoutingKernel(net, tm)
+        for weights in (first, second, first, second):
+            np.testing.assert_array_equal(
+                reused.distances(weights), RoutingKernel(net, tm).distances(weights)
+            )
+
     @given(instance=routing_instance(connected=False), data=st.data())
     def test_exponential_matches_traffic_distribution(self, instance, data):
         """Algorithm 3, dropping unreachable sources, as the oracle does."""

@@ -217,3 +217,55 @@ class TestKernelFitContract:
         for fit in (kernel_fit, oracle_fit):
             assert abs(fit.optimality_gap()) <= 1e-3
             assert fit.flows.conservation_violation(demands) <= 1e-6 * volume
+
+
+def golden_section_line_search(spare, direction, q, beta):
+    """Reference step: golden-section search on ``Phi(alpha)`` to 1e-10."""
+    objective = LoadBalanceObjective(beta=beta, q=q)
+
+    def phi(alpha):
+        utility = objective.total_utility(spare - alpha * direction)
+        return -utility if np.isfinite(utility) else np.inf
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = phi(x1), phi(x2)
+    evaluations = 2
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = phi(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = phi(x2)
+        evaluations += 1
+    return (lo + hi) / 2.0, evaluations
+
+
+class TestLineSearchFitContract:
+    @pytest.mark.parametrize("name", ["Abilene", "Rand50a"])
+    def test_newton_fit_matches_golden_section_fit(self, name, monkeypatch):
+        """The exact Newton step agrees with a golden-section fit in utility.
+
+        Not bit-identical: the reference's 1e-10 step error compounds over
+        Frank-Wolfe's 400 capped iterations.
+        """
+        import repro.solvers.frank_wolfe as frank_wolfe
+        from repro.analysis.experiments import standard_instances
+
+        instance = standard_instances()[name]
+        demands = instance.at_fraction(0.85)
+        newton_fit = SPEF().fit(instance.network, demands)
+        monkeypatch.setattr(frank_wolfe, "_line_search", golden_section_line_search)
+        reference_fit = SPEF().fit(instance.network, demands)
+
+        assert newton_fit.target_utility() == pytest.approx(
+            reference_fit.target_utility(), rel=1e-5
+        )
+        volume = demands.total_volume()
+        for fit in (newton_fit, reference_fit):
+            assert abs(fit.optimality_gap()) <= 1e-3
+            assert fit.flows.conservation_violation(demands) <= 1e-6 * volume
