@@ -109,7 +109,7 @@ def test_incremental_failure_sweep_speedup():
             link.endpoints: weight_map[link.endpoints] for link in instance.network.links
         }
         router = SparseRouter(instance.network, weights=pruned_weights, mode="ecmp")
-        cold_loads.append((instance, router.route(instance.demands).aggregate()))
+        cold_loads.append((instance, router.link_loads_many([instance.demands])[0]))
     cold_sparse_seconds = time.perf_counter() - start
 
     # Incremental: one controller, delta updates per trunk, revert after each.
@@ -221,7 +221,7 @@ def test_rand500_incremental_sweep_speedup():
             link.endpoints: weight_map[link.endpoints] for link in instance.network.links
         }
         router = SparseRouter(instance.network, weights=pruned_weights, mode="ecmp")
-        cold_loads.append((instance, router.route(instance.demands).aggregate()))
+        cold_loads.append((instance, router.link_loads_many([instance.demands])[0]))
 
     # Setup (controller construction + baseline routing) is timed apart
     # from the sweep: it is paid once per sweep — and once per *parallel*

@@ -1,11 +1,11 @@
-"""Routing-backend speed regression: Python oracle vs sparse backend.
+"""Routing speed regression: Python oracle vs the batched compiled router.
 
-Times the two workloads the vectorized backend was built for, on Abilene and
+Times the two workloads the compiled router was built for, on Abilene and
 a Rocketfuel-profile topology:
 
 * **batched split-ratio assignment** -- route a demand ensemble over fixed
   per-destination DAGs with explicit (exponential) split ratios.  The oracle
-  re-runs its dict loops per matrix; the sparse backend compiles each DAG to
+  re-runs its dict loops per matrix; the compiled router compiles each DAG to
   CSR once and propagates all matrices in one stacked sweep.  The ISSUE's
   acceptance bar (>= 5x on Abilene) is asserted here.
 * **ECMP ensemble sweep** -- the scenario-engine shape: one weight setting,
@@ -53,7 +53,7 @@ ON_CI = bool(os.environ.get("CI"))
 def _bar(local: float, ci: float) -> float:
     return ci if ON_CI else local
 
-#: Ensemble sizes per topology: large enough that the sparse backend's
+#: Ensemble sizes per topology: large enough that the compiled router's
 #: one-off compilation is amortised (the regime the batched API targets).
 ENSEMBLE_SIZES = {"abilene": 240, "rocketfuel": 40}
 FULL_ENSEMBLE_SIZES = {"abilene": 600, "rocketfuel": 120}
@@ -126,7 +126,7 @@ def test_batched_split_ratio_speedup(name, network, count):
 
     start = time.perf_counter()
     oracle = [
-        split_ratio_assignment(network, tm, dags, ratios, backend="python").aggregate()
+        split_ratio_assignment(network, tm, dags, ratios).aggregate()
         for tm in matrices
     ]
     python_seconds = time.perf_counter() - start
@@ -143,7 +143,7 @@ def test_batched_split_ratio_speedup(name, network, count):
     )
     entry = _record(name, network, "split-ratio", count, python_seconds, sparse_seconds, residual)
 
-    assert residual <= 1e-9, "sparse and python backends diverged"
+    assert residual <= 1e-9, "compiled router and python oracle diverged"
     if smoke_bench():
         return  # correctness-only: tiny ensembles make ratios meaningless
     if name == "abilene":
@@ -163,7 +163,7 @@ def test_ecmp_ensemble_sweep_speedup(name, network, count):
 
     start = time.perf_counter()
     oracle = [
-        ecmp_assignment(network, tm, weights, backend="python").aggregate()
+        ecmp_assignment(network, tm, weights).aggregate()
         for tm in matrices
     ]
     python_seconds = time.perf_counter() - start
@@ -180,7 +180,7 @@ def test_ecmp_ensemble_sweep_speedup(name, network, count):
     )
     entry = _record(name, network, "ecmp-sweep", count, python_seconds, sparse_seconds, residual)
 
-    assert residual <= 1e-9, "sparse and python backends diverged"
+    assert residual <= 1e-9, "compiled router and python oracle diverged"
     if not smoke_bench():
         assert entry["speedup"] >= _bar(3.0, 1.5)
 

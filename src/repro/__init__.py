@@ -17,10 +17,11 @@ The public API re-exports the pieces most users need:
 * the scenario engine (:class:`~repro.scenarios.Scenario`,
   :class:`~repro.scenarios.BatchRunner`) for failure sweeps, demand
   ensembles and cached parallel robustness evaluation;
-* the vectorized routing backend (:mod:`repro.routing`):
+* the vectorized routing paths (:mod:`repro.routing`):
   :class:`~repro.routing.SparseRouter` compiles shortest-path DAGs into CSR
   split-ratio matrices and routes whole demand ensembles in stacked sparse
-  sweeps; every assignment routine accepts ``backend="sparse"|"python"``;
+  sweeps, and :class:`~repro.routing.RoutingKernel` routes all destinations
+  of the solver loops at once; one-shot calls run the dict-loop oracles;
 * the online control plane (:mod:`repro.online`):
   :class:`~repro.online.TEController` absorbing event streams over
   incremental shortest-path DAGs, :class:`~repro.online.ControllerSession`
@@ -84,7 +85,7 @@ from .online import (
 )
 from .protocols import OSPF, PEFT, FortzThorup, MinMaxMLU, SPEFProtocol
 from .results import ResultsStore, RunManifest
-from .routing import CompiledDagSet, SparseRouter, batched_link_loads
+from .routing import CompiledDagSet, SparseRouter
 from .scenarios import BatchRunner, ProtocolSpec, Scenario, ScenarioResult
 from .serve import ServeClient, TEServer
 
@@ -105,7 +106,6 @@ __all__ = [
     "traffic",
     "CompiledDagSet",
     "SparseRouter",
-    "batched_link_loads",
     "SPEF",
     "LoadBalanceObjective",
     "SPEFConfig",

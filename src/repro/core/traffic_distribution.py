@@ -18,6 +18,10 @@ exponential.
 
 Traffic is then propagated in decreasing first-weight distance order exactly
 as the paper's Algorithm 3 prescribes.
+
+These dict loops are the one-shot implementation and the reference oracle;
+the NEM loop (Algorithm 2) runs the same computation over all destinations
+at once through :meth:`repro.routing.RoutingKernel.exponential`.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag
-from ..routing import resolve_backend
-from ..routing.sparse import sparse_traffic_distribution
 from ..solvers.assignment import split_ratio_assignment
 
 
@@ -94,7 +96,6 @@ def traffic_distribution(
     demands: TrafficMatrix,
     dags: Mapping[Node, ShortestPathDag],
     second_weights: np.ndarray,
-    backend: str | None = None,
 ) -> FlowAssignment:
     """Algorithm 3: the traffic distribution induced by second weights ``v``.
 
@@ -106,15 +107,12 @@ def traffic_distribution(
     second_weights:
         Link-indexed vector ``v``; ``v = 0`` gives plain even-ish splitting
         weighted by the number of downstream equal-cost paths.
-    backend:
-        ``"sparse"`` computes the exponential ratios and the propagation with
-        the all-destination :class:`repro.routing.RoutingKernel`,
-        ``"python"`` runs the dict-loop reference above; ``None`` uses the
-        library default.  Callers that re-evaluate many ``v`` against fixed
-        DAGs (Algorithm 2) should keep one kernel to amortise its build.
+
+    This dict-loop pass is the one-shot implementation and the reference
+    oracle.  Callers that re-evaluate many ``v`` against fixed DAGs
+    (Algorithm 2) hold one :class:`repro.routing.RoutingKernel` and call its
+    ``exponential`` method instead.
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_traffic_distribution(network, demands, dags, second_weights)
     second = np.asarray(second_weights, dtype=float)
     if second.shape != (network.num_links,):
         raise ValueError(
@@ -123,6 +121,4 @@ def traffic_distribution(
     split_ratios: dict[Node, dict[Node, dict[Node, float]]] = {}
     for destination, dag in dags.items():
         split_ratios[destination] = exponential_split_ratios(network, dag, second)
-    return split_ratio_assignment(
-        network, demands, dict(dags), split_ratios, backend="python"
-    )
+    return split_ratio_assignment(network, demands, dict(dags), split_ratios)

@@ -35,7 +35,6 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import WeightsLike, as_weight_vector, distances_to
-from ..routing import resolve_backend
 from ..routing.compiled import CompiledDag
 from .base import RoutingProtocol
 
@@ -54,13 +53,13 @@ class PEFT(RoutingProtocol):
         Scales the exponential penalty: the share of a path decays as
         ``exp(-extra_length / temperature)``.  1.0 reproduces the original
         protocol; larger values spread traffic more aggressively.
-    backend:
-        ``"sparse"`` routes over the compiled downward DAG (the ``Z``
-        recursion and the propagation become vectorised sweeps),
-        ``"python"`` keeps the dict-loop reference.  Degenerate corners
-        (zero-weight plateaus where a node has no strictly-downward next
-        hop) always use the reference path so the fallback semantics stay
-        bit-for-bit identical.
+
+    :meth:`route` runs the per-destination dict loops (also the reference
+    oracle); :meth:`batch_link_loads` routes a demand ensemble over the
+    compiled downward DAGs (the ``Z`` recursion and the propagation become
+    vectorised sweeps) and declines degenerate corners -- zero-weight
+    plateaus where a node has no strictly-downward next hop -- so their
+    fallback semantics stay those of :meth:`route`.
     """
 
     name = "PEFT"
@@ -70,14 +69,12 @@ class PEFT(RoutingProtocol):
         weights: WeightsLike | None = None,
         objective: LoadBalanceObjective | None = None,
         temperature: float = 1.0,
-        backend: str | None = None,
     ) -> None:
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         self._weights = weights
         self.objective = objective or LoadBalanceObjective.proportional()
         self.temperature = temperature
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def link_weights(self, network: Network, demands: TrafficMatrix) -> np.ndarray:
@@ -155,8 +152,8 @@ class PEFT(RoutingProtocol):
 
         Returns ``None`` when the downward structure is degenerate (some
         reachable node has no strictly-downward next hop, or the exponential
-        weights underflow to a zero split) -- those corners keep the
-        reference implementation's fallback semantics.
+        weights underflow to a zero split) -- those corners keep
+        :meth:`route`'s fallback semantics.
         """
         distances = distances_to(network, destination, weights)
         order = sorted(distances, key=lambda n: distances[n], reverse=True)
@@ -198,16 +195,7 @@ class PEFT(RoutingProtocol):
         ratios = shares / totals[compiled.rows]
         return compiled, ratios
 
-    def _route_python(
-        self, network: Network, demands: TrafficMatrix, weights: np.ndarray
-    ) -> FlowAssignment:
-        """The reference dict-loop implementation (the equivalence oracle)."""
-        flows = FlowAssignment(network=network)
-        for destination, entering in demands.by_destination().items():
-            self._propagate_python(network, destination, entering, weights, flows)
-        return flows
-
-    def _propagate_python(
+    def _propagate(
         self,
         network: Network,
         destination: Node,
@@ -215,6 +203,7 @@ class PEFT(RoutingProtocol):
         weights: np.ndarray,
         flows: FlowAssignment,
     ) -> None:
+        """Dict-loop propagation of one destination's demand (the reference oracle)."""
         ratios = self._downward_split(network, destination, weights)
         distances = distances_to(network, destination, weights)
         vector = flows.ensure_destination(destination)
@@ -240,20 +229,9 @@ class PEFT(RoutingProtocol):
     def route(self, network: Network, demands: TrafficMatrix) -> FlowAssignment:
         demands.validate(network)
         weights = self.link_weights(network, demands)
-        if resolve_backend(self.backend) != "sparse":
-            # "auto" picks the oracle for one-shot single-matrix routing (the
-            # dict loops beat numpy's per-row overhead at this shape).
-            return self._route_python(network, demands, weights)
         flows = FlowAssignment(network=network)
         for destination, entering in demands.by_destination().items():
-            compiled_ratios = self._compile_downward(network, destination, weights)
-            if compiled_ratios is None:
-                self._propagate_python(network, destination, entering, weights, flows)
-                continue
-            compiled, ratios = compiled_ratios
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing="drop")
-            compiled.scatter_link_loads(compiled.propagate(demand, ratios), ratios, out=vector)
+            self._propagate(network, destination, entering, weights, flows)
         return flows
 
     def batch_link_loads(
@@ -265,7 +243,7 @@ class PEFT(RoutingProtocol):
         PEFT prescription solves the TE problem per matrix), so batching
         would change semantics and ``None`` is returned.
         """
-        if self._weights is None or resolve_backend(self.backend) == "python":
+        if self._weights is None:
             return None
         weights = as_weight_vector(network, self._weights)
         matrices = list(matrices)

@@ -1,4 +1,4 @@
-"""Compiled destination DAGs: the data structure of the sparse routing backend.
+"""Compiled destination DAGs: the data structure of the batched routing path.
 
 The reference (oracle) routines in :mod:`repro.solvers.assignment` propagate
 traffic per destination with nested Python dict loops.  This module compiles a
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag, UnreachableError
@@ -43,11 +44,11 @@ logger = logging.getLogger(__name__)
 def warn_degenerate_split(node: Node, destination: Node, total: float, count: int) -> None:
     """Log the even-split fallback for degenerate stored split ratios.
 
-    Called by both backends when a node has *stored* split ratios towards a
-    destination but they sum to (numerically) zero over its next hops.  The
-    traffic is still delivered -- split evenly -- but silently ignoring the
-    configured ratios used to hide configuration bugs, so the fallback is now
-    logged explicitly.
+    Called by the oracle and the compiled router when a node has *stored*
+    split ratios towards a destination but they sum to (numerically) zero
+    over its next hops.  The traffic is still delivered -- split evenly --
+    but silently ignoring the configured ratios used to hide configuration
+    bugs, so the fallback is now logged explicitly.
     """
     logger.warning(
         "stored split ratios at node %r towards %r sum to %g over %d next hop(s); "
@@ -167,7 +168,7 @@ class CompiledDag:
         """Number of next hops per position."""
         return np.diff(self.indptr)
 
-    def split_matrix(self, ratios: np.ndarray | None = None):
+    def split_matrix(self, ratios: np.ndarray | None = None) -> sp.csr_matrix:
         """The split-ratio matrix ``P`` as a :class:`scipy.sparse.csr_matrix`.
 
         ``P[i, j]`` is the fraction of position ``i``'s throughflow forwarded
@@ -175,8 +176,6 @@ class CompiledDag:
         ``ratios=None`` the even ECMP split is used.  Mostly a debugging and
         interop view -- :meth:`propagate` works on the raw arrays directly.
         """
-        import scipy.sparse as sp
-
         data = self.uniform_ratios() if ratios is None else np.asarray(ratios, dtype=float)
         return sp.csr_matrix(
             (data, self.targets, self.indptr), shape=(self.num_nodes, self.num_nodes)

@@ -1,24 +1,20 @@
-"""Vectorized routing entry points built on :class:`CompiledDag`.
+"""The batched routing path, built on :class:`CompiledDag`.
 
-Three layers, from most throwaway to most amortised:
-
-* ``sparse_*_assignment`` -- drop-in equivalents of the oracle routines in
-  :mod:`repro.solvers.assignment` / :mod:`repro.core.traffic_distribution`.
-  They compile each destination DAG, route, and throw the compilation away;
-  use them through the ``backend="sparse"`` switch of the oracle functions.
-* :class:`CompiledDagSet` -- compile a ``{destination: dag}`` mapping once
-  and route arbitrarily many demand matrices / split-ratio settings against
-  it -- except Algorithm 3, which is not amortised: it builds a new
-  :class:`~repro.routing.kernel.RoutingKernel` per call (hold one instead).
+* :class:`CompiledDagSet` -- compile a ``{destination: dag}`` mapping once,
+  lazily and with caching, and keep it current after network events.  Its
+  :meth:`~CompiledDagSet.traffic_distribution` (Algorithm 3) is not
+  amortised: it builds a new :class:`~repro.routing.kernel.RoutingKernel`
+  per call and ignores the compiled cache (hold one kernel instead).
 * :class:`SparseRouter` -- owns the whole pipeline for one weight setting
   (Dijkstra, compilation, ratio binding) and exposes the batched entry point
   :meth:`SparseRouter.link_loads_many` that evaluates a whole demand ensemble
-  in one stacked propagation per destination.  This is what the scenario
-  engine's failure sweeps amortise their DAG compilation through.
+  in one stacked propagation per destination.  OSPF's batched evaluation,
+  the scenario engine's failure sweeps and the online controller's
+  ensembles amortise their DAG compilation through it.
 
-All routines produce link loads identical (to float round-off, well below the
-equivalence suite's 1e-9) to the pure-Python oracles; the golden-equivalence
-tests in ``tests/test_routing_equivalence.py`` pin that property.
+Its link loads equal the pure-Python oracles' (to float round-off, well
+below the equivalence suite's 1e-9); the golden-equivalence tests in
+``tests/test_routing_equivalence.py`` pin that property.
 """
 
 from __future__ import annotations
@@ -122,24 +118,6 @@ class CompiledDagSet:
         """
         return RoutingKernel(self.network, demands, dags=self._dags).exponential(second_weights)
 
-    def split_ratio_flows(
-        self,
-        demands: TrafficMatrix,
-        split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]],
-    ) -> FlowAssignment:
-        """Explicit-split routing against the compiled DAGs (SPEF's Eq. 22 use)."""
-        flows = FlowAssignment(network=self.network)
-        for destination, entering in demands.by_destination().items():
-            compiled = self.compiled(destination)
-            degenerate: list[tuple[int, float]] = []
-            ratios = compiled.bind_ratios(split_ratios.get(destination), degenerate)
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing="drop")
-            throughflow = compiled.propagate(demand, ratios)
-            compiled.warn_loaded_degenerates(degenerate, throughflow)
-            compiled.scatter_link_loads(throughflow, ratios, out=vector)
-        return flows
-
 
 class SparseRouter:
     """Compile one weight setting, route many demand matrices.
@@ -226,45 +204,7 @@ class SparseRouter:
             self._ratios[destination] = ratios
         return ratios
 
-    def _check_reachable(self, compiled: CompiledDag, entering: Mapping[Node, float]) -> None:
-        for source in entering:
-            if source not in compiled.positions:
-                raise UnreachableError(
-                    f"demand source {source!r} cannot reach {compiled.destination!r}"
-                )
-
     # ------------------------------------------------------------------
-    def route(
-        self,
-        demands: TrafficMatrix,
-        split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]] | None = None,
-    ) -> FlowAssignment:
-        """Route one traffic matrix, returning the per-destination decomposition."""
-        demands.validate(self.network)
-        flows = FlowAssignment(network=self.network)
-        for destination, entering in demands.by_destination().items():
-            compiled = self._compiled(destination)
-            degenerate: list[tuple[int, float]] = []
-            if self.mode == "split":
-                ratios = compiled.bind_ratios(
-                    split_ratios.get(destination) if split_ratios else None, degenerate
-                )
-                missing = "drop"
-            else:
-                ratios = self._mode_ratios(destination, compiled)
-                missing = "raise"
-                self._check_reachable(compiled, entering)
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing=missing)
-            throughflow = compiled.propagate(demand, ratios)
-            compiled.warn_loaded_degenerates(degenerate, throughflow)
-            compiled.scatter_link_loads(throughflow, ratios, out=vector)
-        return flows
-
-    def link_loads(self, demands: TrafficMatrix) -> np.ndarray:
-        """Aggregate per-link loads of one traffic matrix."""
-        return self.route(demands).aggregate()
-
     def link_loads_many(
         self,
         matrices: Sequence[TrafficMatrix],
@@ -276,8 +216,10 @@ class SparseRouter:
         the ensemble the entering volumes of *all* matrices form one
         ``(num_dag_nodes, m)`` right-hand side, propagated in a single
         forward-substitution sweep.  Returns an ``(m, num_links)`` array whose
-        row ``i`` equals ``route(matrices[i]).aggregate()`` to float
-        round-off.
+        row ``i`` equals the aggregate loads of the oracle
+        (:func:`~repro.solvers.assignment.ecmp_assignment` or
+        :func:`~repro.solvers.assignment.split_ratio_assignment`) on
+        ``matrices[i]`` to float round-off.
         """
         matrices = list(matrices)
         m = len(matrices)
@@ -308,69 +250,8 @@ class SparseRouter:
                 volumes = per.get(destination)
                 if not volumes:
                     continue
-                if missing == "raise":
-                    self._check_reachable(compiled, volumes)
                 compiled.entering_vector(volumes, column=column, out=entering, missing=missing)
             throughflow = compiled.propagate(entering, ratios)
             compiled.warn_loaded_degenerates(degenerate, throughflow)
             compiled.scatter_link_loads(throughflow, ratios, out=loads)
         return loads.T
-
-
-# ----------------------------------------------------------------------
-# functional drop-ins for the oracle routines
-# ----------------------------------------------------------------------
-def sparse_ecmp_assignment(
-    network: Network,
-    demands: TrafficMatrix,
-    weights: WeightsLike,
-    tolerance: float = DEFAULT_TOLERANCE,
-    dags: Mapping[Node, ShortestPathDag] | None = None,
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.solvers.assignment.ecmp_assignment`."""
-    router = SparseRouter(
-        network, weights=weights, dags=dags, mode="ecmp", tolerance=tolerance
-    )
-    return router.route(demands)
-
-
-def sparse_split_ratio_assignment(
-    network: Network,
-    demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
-    split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]],
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.solvers.assignment.split_ratio_assignment`."""
-    demands.validate(network)
-    dag_set = CompiledDagSet(network, dags)
-    return dag_set.split_ratio_flows(demands, split_ratios)
-
-
-def sparse_traffic_distribution(
-    network: Network,
-    demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
-    second_weights: np.ndarray,
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.core.traffic_distribution.traffic_distribution`."""
-    return RoutingKernel(network, demands, dags=dags).exponential(second_weights)
-
-
-def batched_link_loads(
-    network: Network,
-    matrices: Sequence[TrafficMatrix],
-    weights: WeightsLike,
-    *,
-    mode: str = "ecmp",
-    tolerance: float = DEFAULT_TOLERANCE,
-    dags: Mapping[Node, ShortestPathDag] | None = None,
-    split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]] | None = None,
-) -> np.ndarray:
-    """One-shot batched evaluation: ``(m, num_links)`` loads for an ensemble.
-
-    Convenience wrapper around :class:`SparseRouter` for callers that do not
-    keep the router around (the DAGs are still compiled only once *within*
-    the call, which is where the ensemble speedup comes from).
-    """
-    router = SparseRouter(network, weights=weights, dags=dags, mode=mode, tolerance=tolerance)
-    return router.link_loads_many(matrices, split_ratios=split_ratios)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -35,6 +36,8 @@ from ..online.events import EventError
 from ..online.session import ROW_DECIMALS, ControllerSession
 from . import wire
 from .wire import Frame, WireError
+
+logger = logging.getLogger(__name__)
 
 
 class TEServer:
@@ -197,6 +200,13 @@ class TEServer:
             # before any state mutation, so the session is untouched.
             self.frames_error += 1
             return wire.error_frame(str(exc)), False
+        except Exception as exc:
+            # Anything else is a fault inside a session call (a failing
+            # reoptimization, say).  Answer it like any other error so the
+            # client's connection stays up, and keep the traceback.
+            logger.exception("internal error answering a frame")
+            self.frames_error += 1
+            return wire.error_frame(f"internal: {type(exc).__name__}: {exc}"), False
         self.frames_ok += 1
         return wire.ok_frame(result), stop
 

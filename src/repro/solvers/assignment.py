@@ -15,15 +15,13 @@ Both propagate flow per destination over the shortest-path DAG in decreasing
 distance order, so a node's whole incoming flow (local demand plus transit) is
 known before it is split -- the same bookkeeping Algorithm 3 of the paper uses.
 
-The ECMP and split-ratio routines dispatch between two interchangeable
-backends (see :mod:`repro.routing`): ``"sparse"`` compiles the DAGs into CSR
-split-ratio matrices and propagates with vectorised forward substitution,
-``"python"`` (the default for these one-shot calls) runs the dict-loop
-implementation kept here as the reference oracle.  All-or-nothing routing is
-the oracle only; the solver loops use the all-destination
-:class:`~repro.routing.kernel.RoutingKernel`.  ``tests/test_routing_equivalence.py``
-pins their agreement; for many matrices against one weight setting use the
-always-sparse batched entry points in :mod:`repro.routing` instead.
+These dict-loop routines are the only implementation of one-shot routing and
+the reference oracle of ``tests/test_routing_equivalence.py``.  The solver
+loops route through the all-destination
+:class:`~repro.routing.kernel.RoutingKernel`, and many matrices against one
+weight setting go through the batched
+:meth:`~repro.routing.sparse.SparseRouter.link_loads_many` (see
+:mod:`repro.routing`).
 """
 
 from __future__ import annotations
@@ -40,12 +38,7 @@ from ..network.spt import (
     WeightsLike,
     shortest_path_dag,
 )
-from ..routing import resolve_backend
 from ..routing.compiled import warn_degenerate_split
-from ..routing.sparse import (
-    sparse_ecmp_assignment,
-    sparse_split_ratio_assignment,
-)
 
 
 def _propagate_over_dag(
@@ -107,18 +100,13 @@ def ecmp_assignment(
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
     dags: dict[Node, ShortestPathDag] | None = None,
-    backend: str | None = None,
 ) -> FlowAssignment:
     """Route ``demands`` with even splitting over equal-cost shortest paths.
 
     This reproduces OSPF's ECMP behaviour for a given weight setting.  The
     precomputed ``dags`` argument lets callers reuse shortest-path DAGs across
     repeated evaluations (the Fortz-Thorup local search does this heavily).
-    ``backend`` selects the vectorised (``"sparse"``) or reference
-    (``"python"``) implementation; ``None`` uses the library default.
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_ecmp_assignment(network, demands, weights, tolerance, dags)
     demands.validate(network)
     flows = FlowAssignment(network=network)
     for destination, entering in demands.by_destination().items():
@@ -174,7 +162,6 @@ def split_ratio_assignment(
     demands: TrafficMatrix,
     dags: dict[Node, ShortestPathDag],
     split_ratios: dict[Node, dict[Node, dict[Node, float]]],
-    backend: str | None = None,
 ) -> FlowAssignment:
     """Route demands over precomputed DAGs with explicit split ratios.
 
@@ -183,8 +170,6 @@ def split_ratio_assignment(
     building block SPEF uses once the second link weights have produced the
     exponential split ratios of Eq. (22).
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_split_ratio_assignment(network, demands, dags, split_ratios)
     demands.validate(network)
     flows = FlowAssignment(network=network)
     for destination, entering in demands.by_destination().items():

@@ -192,7 +192,7 @@ class TestEventSequenceEquivalence:
             link.endpoints: float(weights[net.link_index(*link.endpoints)])
             for link in pruned.links
         }
-        oracle = ecmp_assignment(pruned, routable, weight_map, backend="python")
+        oracle = ecmp_assignment(pruned, routable, weight_map)
         mapped = np.zeros(net.num_links)
         aggregate = oracle.aggregate()
         for link in pruned.links:

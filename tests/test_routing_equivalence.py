@@ -1,11 +1,12 @@
 """Golden equivalence of the vectorized routing paths against the Python oracle.
 
-The sparse backend and the solver-loop :class:`~repro.routing.kernel.RoutingKernel`
-in :mod:`repro.routing` must be *drop-ins* for the dict-loop reference
-implementations: identical link loads (within 1e-9 for the backend, 1e-12
-relative for the kernel; in practice float round-off), identical
-per-destination decompositions, identical error behaviour on unroutable
-demands, identical fallbacks on degenerate split ratios.  These properties
+The batched compiled router (:meth:`~repro.routing.SparseRouter.link_loads_many`)
+and the solver-loop :class:`~repro.routing.kernel.RoutingKernel` in
+:mod:`repro.routing` must be *drop-ins* for the dict-loop reference
+implementations: identical link loads (within 1e-9 for the router, 1e-12
+relative for the kernel; in practice float round-off), identical error
+behaviour on unroutable demands, identical fallbacks on degenerate split
+ratios.  These properties
 are checked on random topologies and demand patterns generated by Hypothesis
 -- including ECMP ties (duplicate and zero weights), zero-demand nodes and
 disconnected graphs -- plus a few hand-built worst cases.
@@ -28,7 +29,7 @@ from repro.network.flows import FlowAssignment
 from repro.network.graph import Network
 from repro.network.spt import UnreachableError, _dijkstra_to, all_shortest_path_dags
 from repro.obs import telemetry
-from repro.routing import RoutingKernel, SparseRouter, batched_link_loads
+from repro.routing import CompiledDagSet, RoutingKernel, SparseRouter
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
@@ -121,6 +122,11 @@ def assert_flows_equal(python: FlowAssignment, sparse: FlowAssignment) -> None:
         )
 
 
+def assert_loads_equal(python: FlowAssignment, loads: np.ndarray) -> None:
+    """The compiled router's aggregate loads agree with the oracle to TOLERANCE."""
+    np.testing.assert_allclose(loads, python.aggregate(), atol=TOLERANCE, rtol=0)
+
+
 def assert_kernel_matches(oracle: FlowAssignment, kernel: FlowAssignment) -> None:
     """Same destinations, same used links, loads within KERNEL_RTOL."""
     assert list(oracle.per_destination) == list(kernel.per_destination)
@@ -141,21 +147,38 @@ def first_hop_both(net: Network, tm: TrafficMatrix, weights: np.ndarray):
     return oracle, RoutingKernel(net, tm).first_hop(weights)
 
 
-def run_both(fn, *args, **kwargs):
-    """Run a backend-switchable routine on both backends.
+def _both(oracle, compiled):
+    """Run the oracle and the compiled path it is checked against.
 
-    Returns ``(python_result, sparse_result)``; when the oracle raises, the
-    sparse backend must raise the same exception type and ``(exc, exc)`` is
-    returned instead.
+    Returns ``(oracle(), compiled())``; when the oracle raises, the compiled
+    path must raise the same exception type and ``(exc, exc)`` is returned
+    instead.
     """
     try:
-        python = fn(*args, backend="python", **kwargs)
+        python = oracle()
     except UnreachableError as exc:
         with pytest.raises(type(exc)):
-            fn(*args, backend="sparse", **kwargs)
+            compiled()
         return exc, exc
-    sparse = fn(*args, backend="sparse", **kwargs)
-    return python, sparse
+    return python, compiled()
+
+
+def ecmp_both(net: Network, tm: TrafficMatrix, weights: np.ndarray):
+    """Oracle ECMP flows and the batched ECMP router's loads for ``tm``."""
+    return _both(
+        lambda: ecmp_assignment(net, tm, weights),
+        lambda: SparseRouter(net, weights=weights, mode="ecmp").link_loads_many([tm])[0],
+    )
+
+
+def split_both(net: Network, tm: TrafficMatrix, dags: dict, split: dict):
+    """Oracle split-ratio flows and the batched split router's loads for ``tm``."""
+    return _both(
+        lambda: split_ratio_assignment(net, tm, dags, split),
+        lambda: SparseRouter(net, dags=dags, mode="split").link_loads_many(
+            [tm], split_ratios=split
+        )[0],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -165,9 +188,9 @@ class TestEquivalenceOnRandomInstances:
     @given(instance=routing_instance())
     def test_ecmp(self, instance):
         net, weights, tm = instance
-        python, sparse = run_both(ecmp_assignment, net, tm, weights)
+        python, loads = ecmp_both(net, tm, weights)
         if isinstance(python, FlowAssignment):
-            assert_flows_equal(python, sparse)
+            assert_loads_equal(python, loads)
 
     @given(instance=routing_instance())
     def test_all_or_nothing(self, instance):
@@ -208,9 +231,9 @@ class TestEquivalenceOnRandomInstances:
                     )
                     per_node[node] = dict(zip(hops, values, strict=True))
             split[destination] = per_node
-        python, sparse = run_both(split_ratio_assignment, net, tm, dags, split)
+        python, loads = split_both(net, tm, dags, split)
         if isinstance(python, FlowAssignment):
-            assert_flows_equal(python, sparse)
+            assert_loads_equal(python, loads)
 
     @given(instance=routing_instance(), data=st.data())
     def test_traffic_distribution(self, instance, data):
@@ -225,26 +248,29 @@ class TestEquivalenceOnRandomInstances:
                 )
             )
         )
-        python, sparse = run_both(traffic_distribution, net, tm, dags, second)
+        python, sparse = _both(
+            lambda: traffic_distribution(net, tm, dags, second),
+            lambda: CompiledDagSet(net, dags).traffic_distribution(tm, second),
+        )
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
     @given(instance=routing_instance(connected=False))
     def test_unroutable_demands_raise_on_both_backends(self, instance):
-        """On (possibly) disconnected graphs the backends fail identically."""
+        """On (possibly) disconnected graphs oracle and router fail identically."""
         net, weights, tm = instance
-        python, sparse = run_both(ecmp_assignment, net, tm, weights)
+        python, loads = ecmp_both(net, tm, weights)
         if isinstance(python, FlowAssignment):
-            assert_flows_equal(python, sparse)
+            assert_loads_equal(python, loads)
 
     @given(instance=routing_instance(connected=False))
     def test_split_ratio_drops_unroutable_demands_on_both_backends(self, instance):
         """The split-ratio path silently drops unreachable sources -- identically."""
         net, weights, tm = instance
         dags = all_shortest_path_dags(net, tm.destinations(), weights)
-        python, sparse = run_both(split_ratio_assignment, net, tm, dags, {})
+        python, loads = split_both(net, tm, dags, {})
         if isinstance(python, FlowAssignment):
-            assert_flows_equal(python, sparse)
+            assert_loads_equal(python, loads)
 
     @given(instance=routing_instance(), count=st.integers(min_value=1, max_value=4))
     @settings(max_examples=25)
@@ -252,10 +278,10 @@ class TestEquivalenceOnRandomInstances:
         """link_loads_many rows equal the oracle's aggregate, matrix by matrix."""
         net, weights, tm = instance
         matrices = [tm.scaled(0.5 * (i + 1)) for i in range(count)]
-        loads = batched_link_loads(net, matrices, weights)
+        loads = SparseRouter(net, weights=weights).link_loads_many(matrices)
         assert loads.shape == (count, net.num_links)
         for row, matrix in zip(loads, matrices, strict=True):
-            oracle = ecmp_assignment(net, matrix, weights, backend="python")
+            oracle = ecmp_assignment(net, matrix, weights)
             np.testing.assert_allclose(row, oracle.aggregate(), atol=TOLERANCE, rtol=0)
 
 
@@ -264,14 +290,12 @@ class TestEquivalenceOnRandomInstances:
 # ----------------------------------------------------------------------
 class TestEquivalenceCorners:
     def test_ecmp_tie_on_diamond(self, diamond_network, diamond_demands):
-        """The classic two-equal-paths tie splits 50/50 on both backends."""
+        """The classic two-equal-paths tie splits 50/50 on oracle and router."""
         weights = np.ones(diamond_network.num_links)
-        python, sparse = run_both(
-            ecmp_assignment, diamond_network, diamond_demands, weights
-        )
-        assert_flows_equal(python, sparse)
-        assert sparse.flow_on(1, 2) == pytest.approx(4.0)
-        assert sparse.flow_on(1, 3) == pytest.approx(4.0)
+        python, loads = ecmp_both(diamond_network, diamond_demands, weights)
+        assert_loads_equal(python, loads)
+        assert loads[diamond_network.link_index(1, 2)] == pytest.approx(4.0)
+        assert loads[diamond_network.link_index(1, 3)] == pytest.approx(4.0)
 
     def test_zero_weight_plateau(self):
         """All-zero weights tie every distance; the Dijkstra-tree DAG agrees."""
@@ -280,38 +304,31 @@ class TestEquivalenceCorners:
             net.add_duplex_link(u, v, 10.0)
         tm = TrafficMatrix({(1, 4): 6.0, (2, 4): 3.0, (4, 1): 2.0})
         weights = np.zeros(net.num_links)
-        python, sparse = run_both(ecmp_assignment, net, tm, weights)
-        assert_flows_equal(python, sparse)
+        python, loads = ecmp_both(net, tm, weights)
+        assert_loads_equal(python, loads)
 
     def test_zero_demand_matrix(self, diamond_network):
-        """An empty matrix yields zero loads (and no destinations) on both."""
+        """An empty matrix yields zero loads (and no oracle destinations)."""
         tm = TrafficMatrix()
-        python, sparse = run_both(
-            ecmp_assignment, diamond_network, tm, np.ones(diamond_network.num_links)
-        )
-        assert python.per_destination == {} and sparse.per_destination == {}
-        assert sparse.aggregate().shape == (diamond_network.num_links,)
+        python, loads = ecmp_both(diamond_network, tm, np.ones(diamond_network.num_links))
+        assert python.per_destination == {}
+        np.testing.assert_array_equal(loads, np.zeros(diamond_network.num_links))
 
     def test_negative_stored_ratios_match_oracle(self, diamond_network, diamond_demands):
         """Negative ratios: normalise by the signed total, emit no negative flow."""
         weights = np.ones(diamond_network.num_links)
         dags = all_shortest_path_dags(diamond_network, [4], weights)
         split = {4: {1: {2: 2.0, 3: -1.0}}}
-        python, sparse = run_both(
-            split_ratio_assignment, diamond_network, diamond_demands, dags, split
-        )
-        assert_flows_equal(python, sparse)
-        assert np.all(sparse.aggregate() >= 0.0)
+        python, loads = split_both(diamond_network, diamond_demands, dags, split)
+        assert_loads_equal(python, loads)
+        assert np.all(loads >= 0.0)
         # total = 1.0, so hop 2 carries ratio 2.0 of the load; hop 3 nothing.
-        assert sparse.flow_on(1, 2) == pytest.approx(16.0)
-        assert sparse.flow_on(1, 3) == pytest.approx(0.0)
+        assert loads[diamond_network.link_index(1, 2)] == pytest.approx(16.0)
+        assert loads[diamond_network.link_index(1, 3)] == pytest.approx(0.0)
 
     def test_missing_dag_raises_on_both_backends(self, diamond_network, diamond_demands):
-        for backend in ("python", "sparse"):
-            with pytest.raises(UnreachableError):
-                split_ratio_assignment(
-                    diamond_network, diamond_demands, {}, {}, backend=backend
-                )
+        python, _ = split_both(diamond_network, diamond_demands, {}, {})
+        assert isinstance(python, UnreachableError)
 
     def test_augmented_dag_extra_hops_agree(self, fig4, fig4_tm):
         """DAGs with extra (augmented) downhill edges route identically."""
@@ -327,17 +344,16 @@ class TestEquivalenceCorners:
                 hops = dag.next_hops.setdefault(link.source, [])
                 if link.target not in hops:
                     hops.append(link.target)
-        python, sparse = run_both(split_ratio_assignment, fig4, fig4_tm, dags, {})
-        assert_flows_equal(python, sparse)
+        python, loads = split_both(fig4, fig4_tm, dags, {})
+        assert_loads_equal(python, loads)
 
     def test_sparse_router_single_matches_batch(self, abilene, abilene_tm):
-        """route(), link_loads() and link_loads_many() are mutually consistent."""
+        """A one-matrix ensemble, a two-matrix ensemble and the oracle agree."""
         weights = np.ones(abilene.num_links)
         router = SparseRouter(abilene, weights=weights)
-        flows = router.route(abilene_tm)
-        single = router.link_loads(abilene_tm)
+        single = router.link_loads_many([abilene_tm])[0]
         batch = router.link_loads_many([abilene_tm, abilene_tm.scaled(2.0)])
-        np.testing.assert_allclose(flows.aggregate(), single, atol=TOLERANCE, rtol=0)
+        assert_loads_equal(ecmp_assignment(abilene, abilene_tm, weights), single)
         np.testing.assert_allclose(batch[0], single, atol=TOLERANCE, rtol=0)
         np.testing.assert_allclose(batch[1], 2.0 * single, atol=1e-8, rtol=0)
 
@@ -428,7 +444,7 @@ class TestRoutingKernel:
                 )
             )
         )
-        oracle = traffic_distribution(net, tm, dags, second, backend="python")
+        oracle = traffic_distribution(net, tm, dags, second)
         kernel = RoutingKernel(net, tm, dags=dags).exponential(second)
         assert_kernel_matches(oracle, kernel)
 
@@ -440,7 +456,7 @@ class TestRoutingKernel:
         rng = np.random.default_rng(5)
         for _ in range(3):
             second = rng.random(fig4.num_links)
-            oracle = traffic_distribution(fig4, fig4_tm, dags, second, backend="python")
+            oracle = traffic_distribution(fig4, fig4_tm, dags, second)
             assert_kernel_matches(oracle, kernel.exponential(second))
 
     def test_exponential_requires_dags(self, diamond_network, diamond_demands):
@@ -474,23 +490,27 @@ class TestRoutingKernel:
 
 
 # ----------------------------------------------------------------------
-# protocol-level equivalence (the rewired callers)
+# protocol-level equivalence: one-shot route() versus batch_link_loads()
 # ----------------------------------------------------------------------
+def assert_route_matches_batch(protocol, net: Network, tm: TrafficMatrix) -> None:
+    """``route`` (the dict loops) and ``batch_link_loads`` (compiled) agree."""
+    loads = protocol.batch_link_loads(net, [tm])
+    assert loads is not None
+    assert_loads_equal(protocol.route(net, tm), loads[0])
+
+
 class TestProtocolBackendEquivalence:
     def test_ospf_backends_agree_on_abilene(self, abilene, abilene_tm):
         from repro.protocols.ospf import OSPF
 
-        python = OSPF(backend="python").route(abilene, abilene_tm)
-        sparse = OSPF(backend="sparse").route(abilene, abilene_tm)
-        assert_flows_equal(python, sparse)
+        assert_route_matches_batch(OSPF(), abilene, abilene_tm)
 
     def test_peft_backends_agree_on_abilene(self, abilene, abilene_tm):
+        from repro.protocols.ospf import invcap_weights
         from repro.protocols.peft import PEFT
 
-        weights = np.ones(abilene.num_links)
-        python = PEFT(weights=weights, backend="python").route(abilene, abilene_tm)
-        sparse = PEFT(weights=weights, backend="sparse").route(abilene, abilene_tm)
-        assert_flows_equal(python, sparse)
+        protocol = PEFT(weights=invcap_weights(abilene), temperature=2.0)
+        assert_route_matches_batch(protocol, abilene, abilene_tm)
 
     def test_peft_batch_matches_route(self, abilene, abilene_tm):
         from repro.protocols.peft import PEFT
@@ -513,6 +533,7 @@ class TestProtocolBackendEquivalence:
     @given(data=st.data())
     @settings(max_examples=15)
     def test_peft_backends_agree_on_random_instances(self, data):
+        """Batching matches route(), or declines only on a degenerate destination."""
         from repro.protocols.peft import PEFT
 
         net, weights = data.draw(topology(connected=True))
@@ -520,6 +541,12 @@ class TestProtocolBackendEquivalence:
         # PEFT needs strictly positive weights for a well-defined downward
         # graph; shift the pool so plateaus still occur through duplicates.
         weights = weights + 0.5
-        python = PEFT(weights=weights, backend="python").route(net, tm)
-        sparse = PEFT(weights=weights, backend="sparse").route(net, tm)
-        assert_flows_equal(python, sparse)
+        protocol = PEFT(weights=weights)
+        loads = protocol.batch_link_loads(net, [tm])
+        if loads is None:
+            assert any(
+                protocol._compile_downward(net, destination, weights) is None
+                for destination in tm.destinations()
+            )
+            return
+        assert_loads_equal(protocol.route(net, tm), loads[0])

@@ -1,10 +1,10 @@
 """Unit tests for the compiled routing structures themselves.
 
 The golden-equivalence suite (``test_routing_equivalence.py``) checks the
-backends against each other end to end; these tests pin the *internals* of
-:mod:`repro.routing` -- the CSR compilation, the triangular structure of the
-split matrix, the ratio kernels, backend selection -- so a regression points
-at the broken piece directly.
+compiled paths against the oracle end to end; these tests pin the *internals*
+of :mod:`repro.routing` -- the CSR compilation, the triangular structure of
+the split matrix, the ratio kernels -- so a regression points at the broken
+piece directly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.routing as routing
 from repro.core.nem import compute_second_weights
 from repro.network.demands import TrafficMatrix
 from repro.network.graph import Network
@@ -95,51 +94,6 @@ class TestCompiledDag:
             CompiledDag.from_next_hops(net, 3, [1, 3], {1: [2]})
 
 
-class TestBackendSelection:
-    def test_default_backend_is_auto(self):
-        """'auto' = oracle for one-shot calls, sparse for batched entry points."""
-        assert routing.get_default_backend() == "auto"
-
-    def test_forcing_python_disables_protocol_batching(self, abilene, abilene_tm):
-        """A global 'python' override makes an all-oracle run really all-oracle."""
-        from repro.protocols.ospf import OSPF
-
-        protocol = OSPF()  # no per-instance backend: follows the global default
-        assert protocol.batch_link_loads(abilene, [abilene_tm]) is not None
-        previous = routing.set_default_backend("python")
-        try:
-            assert protocol.batch_link_loads(abilene, [abilene_tm]) is None
-        finally:
-            routing.set_default_backend(previous)
-
-    def test_set_and_resolve(self):
-        previous = routing.set_default_backend("python")
-        try:
-            assert routing.resolve_backend(None) == "python"
-            assert routing.resolve_backend("sparse") == "sparse"
-        finally:
-            routing.set_default_backend(previous)
-        assert routing.resolve_backend(None) == previous
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            routing.resolve_backend("numba")
-        with pytest.raises(ValueError):
-            routing.set_default_backend("numba")
-
-    def test_switch_changes_dispatch(self, diamond_network, diamond_demands):
-        """The process-wide default actually reroutes the dispatchers."""
-        from repro.solvers.assignment import ecmp_assignment
-
-        python = ecmp_assignment(diamond_network, diamond_demands, np.ones(4))
-        previous = routing.set_default_backend("sparse")
-        try:
-            sparse = ecmp_assignment(diamond_network, diamond_demands, np.ones(4))
-        finally:
-            routing.set_default_backend(previous)
-        np.testing.assert_allclose(sparse.aggregate(), python.aggregate(), atol=1e-9)
-
-
 class TestCompiledDagSet:
     def test_missing_destination_raises_oracle_error(self, diamond_network):
         dag_set = CompiledDagSet(diamond_network, {})
@@ -161,7 +115,7 @@ class TestCompiledDagSet:
         for _ in range(3):
             second = rng.random(abilene.num_links)
             amortised = dag_set.traffic_distribution(abilene_tm, second)
-            fresh = traffic_distribution(abilene, abilene_tm, dags, second, backend="python")
+            fresh = traffic_distribution(abilene, abilene_tm, dags, second)
             np.testing.assert_allclose(
                 amortised.aggregate(), fresh.aggregate(), atol=1e-9, rtol=0
             )
@@ -179,9 +133,7 @@ class TestCompiledDagSet:
         monkeypatch.setattr(
             RoutingKernel,
             "exponential",
-            lambda self, second: traffic_distribution(
-                fig4, fig4_tm, dags, second, backend="python"
-            ),
+            lambda self, second: traffic_distribution(fig4, fig4_tm, dags, second),
         )
         python = compute_second_weights(fig4, fig4_tm, dags, target, max_iterations=40)
         assert sparse.iterations == python.iterations

@@ -188,6 +188,24 @@ class TestMalformedFrames:
             )
             assert client.counters()["events"] == before
 
+    def test_unexpected_session_error_answers_and_keeps_connection(
+        self, server, monkeypatch
+    ):
+        te_server, runner, _ = server
+        (session,) = te_server.sessions.values()
+
+        def broken_reoptimize():
+            raise ZeroDivisionError("solver blew up")
+
+        monkeypatch.setattr(session, "reoptimize_offline", broken_reoptimize)
+        with connect(runner) as client:
+            response = client.request({"type": "control", "action": "reoptimize"})
+            assert response["ok"] is False
+            assert response["error"] == "internal: ZeroDivisionError: solver blew up"
+            assert te_server.frames_error == 1
+            # The same connection keeps answering.
+            assert isinstance(client.mlu(), float)
+
 
 # ----------------------------------------------------------------------
 # graceful shutdown and the state dump

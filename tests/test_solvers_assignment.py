@@ -5,10 +5,29 @@ import pytest
 
 from repro.network.demands import TrafficMatrix
 from repro.network.spt import UnreachableError, all_shortest_path_dags
+from repro.routing import SparseRouter
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
     split_ratio_assignment,
+)
+
+
+def oracle_split_loads(network, demands, dags, ratios):
+    return split_ratio_assignment(network, demands, dags, ratios).aggregate()
+
+
+def compiled_split_loads(network, demands, dags, ratios):
+    router = SparseRouter(network, dags=dags, mode="split")
+    return router.link_loads_many([demands], split_ratios=ratios)[0]
+
+
+#: The two split-ratio routing paths: the dict-loop oracle and the batched
+#: compiled router.  Both return aggregate link loads.
+split_paths = pytest.mark.parametrize(
+    "split_loads",
+    [oracle_split_loads, compiled_split_loads],
+    ids=["python_oracle", "sparse_router"],
 )
 
 
@@ -106,9 +125,9 @@ class TestSplitRatioAssignment:
         flows = split_ratio_assignment(diamond_network, diamond_demands, dags, ratios)
         assert flows.flow_on(1, 2) == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @split_paths
     def test_degenerate_stored_ratios_warn_and_fall_back_evenly(
-        self, diamond_network, diamond_demands, backend, caplog
+        self, diamond_network, diamond_demands, split_loads, caplog
     ):
         """Stored-but-zero ratios are no longer a *silent* renormalisation.
 
@@ -121,22 +140,20 @@ class TestSplitRatioAssignment:
         dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         ratios = {4: {1: {2: 0.0, 3: 0.0}}}
         with caplog.at_level(logging.WARNING, logger="repro.routing.compiled"):
-            flows = split_ratio_assignment(
-                diamond_network, diamond_demands, dags, ratios, backend=backend
-            )
-        assert flows.flow_on(1, 2) == pytest.approx(4.0)
-        assert flows.flow_on(1, 3) == pytest.approx(4.0)
+            loads = split_loads(diamond_network, diamond_demands, dags, ratios)
+        assert loads[diamond_network.link_index(1, 2)] == pytest.approx(4.0)
+        assert loads[diamond_network.link_index(1, 3)] == pytest.approx(4.0)
         warnings = [r for r in caplog.records if "falling back to an even split" in r.message]
         assert len(warnings) == 1
 
-    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @split_paths
     def test_degenerate_ratios_at_unloaded_node_stay_silent(
-        self, diamond_network, backend, caplog
+        self, diamond_network, split_loads, caplog
     ):
         """No traffic through the degenerate node -> no warning (oracle parity).
 
         The oracle only normalises (and hence only warns) for nodes that
-        actually carry load; the sparse backend defers its warning until
+        actually carry load; the compiled router defers its warning until
         after propagation for the same reason.
         """
         import logging
@@ -147,15 +164,13 @@ class TestSplitRatioAssignment:
         demands = TrafficMatrix({(2, 4): 5.0})
         ratios = {4: {1: {2: 0.0, 3: 0.0}}}
         with caplog.at_level(logging.WARNING, logger="repro.routing.compiled"):
-            flows = split_ratio_assignment(
-                diamond_network, demands, dags, ratios, backend=backend
-            )
-        assert flows.flow_on(2, 4) == pytest.approx(5.0)
+            loads = split_loads(diamond_network, demands, dags, ratios)
+        assert loads[diamond_network.link_index(2, 4)] == pytest.approx(5.0)
         assert not caplog.records
 
-    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @split_paths
     def test_absent_node_ratios_fall_back_silently(
-        self, diamond_network, diamond_demands, backend, caplog
+        self, diamond_network, diamond_demands, split_loads, caplog
     ):
         """Nodes simply missing from the mapping keep the quiet even split.
 
@@ -166,8 +181,6 @@ class TestSplitRatioAssignment:
 
         dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         with caplog.at_level(logging.WARNING, logger="repro.routing.compiled"):
-            flows = split_ratio_assignment(
-                diamond_network, diamond_demands, dags, {4: {}}, backend=backend
-            )
-        assert flows.flow_on(1, 2) == pytest.approx(4.0)
+            loads = split_loads(diamond_network, diamond_demands, dags, {4: {}})
+        assert loads[diamond_network.link_index(1, 2)] == pytest.approx(4.0)
         assert not caplog.records

@@ -179,9 +179,7 @@ class OracleRouting:
     def exponential(self, second_weights):
         from repro.core.traffic_distribution import traffic_distribution
 
-        return traffic_distribution(
-            self.network, self.demands, self.dags, second_weights, backend="python"
-        )
+        return traffic_distribution(self.network, self.demands, self.dags, second_weights)
 
 
 class TestKernelFitContract:

@@ -272,7 +272,7 @@ class TestController:
             }
             cold = SparseRouter(
                 instance.network, weights=pruned_weights, mode="ecmp"
-            ).route(instance.demands).aggregate()
+            ).link_loads_many([instance.demands])[0]
             mapped = np.zeros(abilene.num_links)
             for link in instance.network.links:
                 mapped[abilene.link_index(link.source, link.target)] = cold[link.index]
@@ -380,7 +380,7 @@ class TestController:
         }
         for row, matrix in zip(loads, matrices, strict=True):
             router = SparseRouter(instance.network, weights=pruned_weights)
-            cold = router.link_loads(matrix)
+            cold = router.link_loads_many([matrix])[0]
             mapped = np.zeros(abilene.num_links)
             for link in instance.network.links:
                 mapped[abilene.link_index(link.source, link.target)] = cold[link.index]
@@ -526,8 +526,7 @@ class TestRunnerIncrementalPath:
         assert incremental_sweep_weights(
             OSPF(weights=invcap_weights(abilene)), abilene
         ) is None
-        # Forced oracle backend declines, as do re-optimising protocols.
-        assert incremental_sweep_weights(OSPF(backend="python"), abilene) is None
+        # Re-optimising protocols decline.
         assert incremental_sweep_weights(PEFT(), abilene) is None
         assert incremental_sweep_weights(FortzThorup(), abilene) is None
         assert incremental_sweep_weights(None, abilene) is None
@@ -539,7 +538,6 @@ class TestRunnerIncrementalPath:
         assert incremental_sweep_capacity_independent(OSPF(weights=mapping), abilene)
         assert incremental_sweep_capacity_independent(MinHopOSPF(), abilene)
         assert not incremental_sweep_capacity_independent(OSPF(), abilene)
-        assert not incremental_sweep_capacity_independent(OSPF(backend="python"), abilene)
         assert not incremental_sweep_capacity_independent(PEFT(), abilene)
         assert not incremental_sweep_capacity_independent(None, abilene)
 
