@@ -27,7 +27,7 @@ import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network, Node
+from ..network.graph import Network
 from ..network.spt import distances_to
 from ..routing.kernel import RoutingKernel
 from ..solvers.subgradient import StepRule, default_step_for_capacities, project_nonnegative
@@ -141,10 +141,7 @@ def compute_first_weights(
     step_rule = step_rule or default_step_for_capacities(capacities, step_ratio)
 
     kernel = RoutingKernel(network, demands)
-    destinations = demands.destinations()
-    flow_average: dict[Node, np.ndarray] = {
-        destination: np.zeros(network.num_links) for destination in destinations
-    }
+    flow_average = np.zeros((len(kernel.destinations), network.num_links))
     spare = np.minimum(objective.derivative_inverse(weights), capacities)
     dual_history: list[float] = []
     gap_history: list[float] = []
@@ -157,14 +154,10 @@ def compute_first_weights(
         spare = np.maximum(spare, 0.0)
         # Per-destination routing subproblem: shortest-path all-or-nothing.
         routing = kernel.first_hop(weights)
-        aggregate = routing.aggregate()
+        aggregate = routing.sum(axis=0)
         # Primal recovery: running average of routing solutions.
         samples += 1
-        for destination in destinations:
-            vector = routing.per_destination.get(destination)
-            if vector is None:
-                vector = np.zeros(network.num_links)
-            flow_average[destination] += (vector - flow_average[destination]) / samples
+        flow_average += (routing - flow_average) / samples
 
         gap = float(np.dot(weights, aggregate + spare - capacities))
         if record_history:
@@ -177,7 +170,7 @@ def compute_first_weights(
         step = step_rule(iteration - 1)
         weights = project_nonnegative(weights - step * (capacities - aggregate - spare))
 
-    flows = FlowAssignment(network=network, per_destination=dict(flow_average))
+    flows = kernel.flows(flow_average)
     return FirstWeightsResult(
         weights=weights,
         spare_capacity=np.minimum(objective.derivative_inverse(weights), capacities),

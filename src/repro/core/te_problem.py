@@ -12,9 +12,15 @@ The solver dispatches on the objective:
 * ``beta = 0`` -- the utility is linear, so the problem *is* the minimum-cost
   multi-commodity flow LP (9) with costs ``q`` and is solved exactly.
 * ``beta >= 1`` -- the utility is a barrier at saturation; the Frank-Wolfe
-  flow-deviation method converges to the unique optimal spare capacity.
+  flow-deviation method converges to the unique optimal spare capacity.  It
+  starts from a capacity homotopy on the routing kernel, with the min-MLU LP
+  only as a counted fallback (``solvers.te_start``).
 * ``0 < beta < 1`` -- strictly concave but finite at saturation; Frank-Wolfe
-  with a capacitated LP subproblem.
+  with a capacitated LP subproblem, from the min-MLU LP.
+
+Frank-Wolfe stops at ``max_iterations`` before its tolerance on the paper's
+larger instances, so :attr:`TESolution.duality_gap` certifies how far the
+returned utility can be from the optimum.
 
 Algorithm 1 (:mod:`repro.core.first_weights`) solves the same problem in a
 distributed fashion; the tests cross-check the two.
@@ -70,6 +76,8 @@ class TESolution:
     utility: float
     iterations: int = 0
     converged: bool = True
+    #: Upper bound on ``optimum utility - utility`` (0 for the exact LP).
+    duality_gap: float = 0.0
     objective_history: list[float] = field(default_factory=list)
 
     @property
@@ -99,8 +107,9 @@ def solve_optimal_te(
     Raises
     ------
     SolverError
-        When the demands cannot be routed (infeasible LP, or MLU >= 1 with a
-        barrier objective).
+        When the demands cannot be routed: a demand source cannot reach its
+        destination, the LP is infeasible, or the best MLU is at least 1
+        under a barrier objective.
     """
     network, demands, objective = problem.network, problem.demands, problem.objective
     if not len(demands):
@@ -150,6 +159,7 @@ def solve_optimal_te(
         utility=objective.total_utility(spare),
         iterations=result.iterations,
         converged=result.converged,
+        duality_gap=result.duality_gap,
         objective_history=[-value for value in result.objective_history],
     )
 

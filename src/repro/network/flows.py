@@ -63,6 +63,23 @@ class FlowAssignment:
             vector[network.link_index(*edge)] = value
         return cls(network=network, per_destination={None: vector})
 
+    @classmethod
+    def from_rows(
+        cls, network: Network, destinations: Iterable[Node], rows: np.ndarray
+    ) -> FlowAssignment:
+        """Wrap a ``(destinations, links)`` array, one row per destination."""
+        return cls(network=network, per_destination=dict(zip(destinations, rows, strict=True)))
+
+    def rows(self, destinations: Iterable[Node]) -> np.ndarray:
+        """The ``(destinations, links)`` array of :meth:`from_rows`.
+
+        A destination without a vector gets a zero row; vectors of other
+        destinations are left out.
+        """
+        zeros = np.zeros(self.network.num_links)
+        vectors = [self.per_destination.get(t, zeros) for t in destinations]
+        return np.array(vectors).reshape(len(vectors), self.network.num_links)
+
     def copy(self) -> FlowAssignment:
         return FlowAssignment(
             network=self.network,

@@ -5,7 +5,9 @@ routes all destinations per call with whole-array operations; its only
 Python loops are sweeps whose every step spans all destinations:
 
 * :meth:`~RoutingKernel.first_hop` -- all-or-nothing routing (Frank-Wolfe,
-  Algorithm 1): one ``scipy.sparse.csgraph.dijkstra`` call on the reversed
+  Algorithm 1) as a ``(destinations, links)`` load array, one row per
+  destination in ``demands.destinations()`` order (:meth:`~RoutingKernel.flows`
+  wraps it): one ``scipy.sparse.csgraph.dijkstra`` call on the reversed
   link CSR, the oracle's exact on-DAG comparisons, each node's on-DAG
   out-link of lowest ``out_links`` rank (the oracle's ``hops[0]``), then one
   sweep down the distance ranks (at paper scale, faster than a sparse
@@ -55,14 +57,16 @@ class RoutingKernel:
     ) -> None:
         demands.validate(network)
         self.network, self.demands, self.dags = network, demands, dags
-        by_destination = demands.by_destination()
-        self.destinations: list[Node] = list(by_destination)
+        #: The row order of every ``(destinations, ...)`` array: ``demands.destinations()``.
+        self.destinations: list[Node] = demands.destinations()
         n, index = network.num_nodes, network.node_index
         self._targets = np.array([index(t) for t in self.destinations], dtype=np.intp)
+        row_of = {t: row for row, t in enumerate(self.destinations)}
+        pairs = demands.pairs()
+        rows = np.array([row_of[t] for _, t in pairs], dtype=np.intp)
+        sources = np.array([index(s) for s, _ in pairs], dtype=np.intp)
         self._entering = np.zeros((len(self.destinations), n))
-        for row, entering in enumerate(by_destination.values()):
-            for source, volume in entering.items():
-                self._entering[row, index(source)] += volume
+        np.add.at(self._entering, (rows, sources), [demands[pair] for pair in pairs])
         tails = np.array([index(link.source) for link in network.links], dtype=np.intp)
         heads = np.array([index(link.target) for link in network.links], dtype=np.intp)
         self._tails, self._heads = tails, heads
@@ -78,9 +82,9 @@ class RoutingKernel:
         if dags is not None:
             self._compile_dags(dags)
 
-    def _flows(self, loads: np.ndarray) -> FlowAssignment:
-        per_destination = dict(zip(self.destinations, loads, strict=True))
-        return FlowAssignment(network=self.network, per_destination=per_destination)
+    def flows(self, loads: np.ndarray) -> FlowAssignment:
+        """Wrap ``(destinations, links)`` loads as a :class:`FlowAssignment`."""
+        return FlowAssignment.from_rows(self.network, self.destinations, loads)
 
     @cached_property
     def _reversed(self) -> sp.csr_matrix:
@@ -99,9 +103,12 @@ class RoutingKernel:
         return np.asarray(dijkstra(graph, directed=True, indices=self._targets))
 
     # ------------------------------------------------------------------
-    def first_hop(self, weights: WeightsLike) -> FlowAssignment:
-        """All-or-nothing routing with the oracle's hops; raises
-        :class:`UnreachableError` if a demand source cannot reach its destination."""
+    def first_hop(self, weights: WeightsLike) -> np.ndarray:
+        """``(destinations, links)`` all-or-nothing loads with the oracle's hops.
+
+        Raises :class:`UnreachableError` if a demand source cannot reach its
+        destination.
+        """
         w = as_weight_vector(self.network, weights)
         validate_weights(w)
         telemetry.count("routing.kernel", 1, mode="first_hop")
@@ -140,13 +147,15 @@ class RoutingKernel:
             flat[head] += flat[tail]
         loads = np.zeros((len(rows), m + 1))
         loads[rows[:, None], hop] = through[:, :n]
-        return self._flows(loads[:, :m])
+        return loads[:, :m]
 
-    def _fallback(self, weights: np.ndarray) -> FlowAssignment:
+    def _fallback(self, weights: np.ndarray) -> np.ndarray:
         from ..solvers.assignment import all_or_nothing_assignment
 
         telemetry.count("routing.kernel_fallback", 1, reason="zero_weight")
-        return all_or_nothing_assignment(self.network, self.demands, weights)
+        return all_or_nothing_assignment(self.network, self.demands, weights).rows(
+            self.destinations
+        )
 
     # ------------------------------------------------------------------
     def _compile_dags(self, dags: Mapping[Node, ShortestPathDag]) -> None:
@@ -220,4 +229,4 @@ class RoutingKernel:
             raise UnreachableError(f"node {source!r} has traffic for {target!r} but no next hop")
         loads = np.zeros((len(self.destinations), self.network.num_links))
         loads[self._dag_rows, self._dag_links] = ratios * through[tails]
-        return self._flows(loads)
+        return self.flows(loads)

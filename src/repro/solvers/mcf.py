@@ -81,13 +81,8 @@ def _extract_flows(
     destinations: list[Node],
     solution: np.ndarray,
 ) -> FlowAssignment:
-    flows = FlowAssignment(network=network)
-    num_links = network.num_links
-    for k, destination in enumerate(destinations):
-        flows.per_destination[destination] = np.maximum(
-            solution[k * num_links : (k + 1) * num_links], 0.0
-        )
-    return flows
+    rows = np.maximum(solution.reshape(len(destinations), network.num_links), 0.0)
+    return FlowAssignment.from_rows(network, destinations, rows)
 
 
 def solve_min_cost_mcf(
@@ -124,7 +119,8 @@ def solve_min_cost_mcf(
     num_commodities = len(destinations)
     objective = np.tile(cost_vector, num_commodities)
     a_eq, b_eq = _stack_conservation(network, demands, destinations)
-    a_ub = b_ub = None
+    a_ub: sparse.csr_matrix | None = None
+    b_ub: np.ndarray | None = None
     if capacitated:
         a_ub = _capacity_matrix(num_links, num_commodities)
         b_ub = network.capacities
@@ -140,7 +136,7 @@ def solve_min_cost_mcf(
     if not result.success:
         raise SolverError(f"min-cost MCF LP failed: {result.message}")
     flows = _extract_flows(network, destinations, result.x)
-    duals = None
+    duals: np.ndarray | None = None
     if capacitated and result.ineqlin is not None:
         # HiGHS reports marginals with a minus sign for <= constraints.
         duals = -np.asarray(result.ineqlin.marginals, dtype=float)

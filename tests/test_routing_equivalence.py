@@ -144,7 +144,8 @@ def first_hop_both(net: Network, tm: TrafficMatrix, weights: np.ndarray):
         with pytest.raises(UnreachableError):
             RoutingKernel(net, tm).first_hop(weights)
         return exc, exc
-    return oracle, RoutingKernel(net, tm).first_hop(weights)
+    kernel = RoutingKernel(net, tm)
+    return oracle, kernel.flows(kernel.first_hop(weights))
 
 
 def _both(oracle, compiled):
@@ -482,7 +483,7 @@ class TestRoutingKernel:
         weights[[net.link_index(1, 2), net.link_index(2, 3)]] = 0.0
         kernel = RoutingKernel(net, tm)
         with telemetry.session() as registry:
-            flows = kernel.first_hop(weights)
+            flows = kernel.flows(kernel.first_hop(weights))
             kernel.first_hop(np.ones(net.num_links))
         assert registry.counter_value("routing.kernel", mode="first_hop") == 2
         assert registry.counter_value("routing.kernel_fallback", reason="zero_weight") == 1

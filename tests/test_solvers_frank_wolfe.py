@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 from repro.core.objectives import LoadBalanceObjective
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
+from repro.network.graph import Network
 from repro.obs import telemetry
-from repro.solvers.frank_wolfe import _line_search, solve_frank_wolfe
+from repro.routing.kernel import RoutingKernel
+from repro.solvers.assignment import all_or_nothing_assignment
+from repro.solvers.frank_wolfe import START_STEPS, _line_search, _start, solve_frank_wolfe
 from repro.solvers.mcf import SolverError, solve_min_mlu
+
+#: ``solve_optimal_te``'s utility on Abilene at 0.85 of saturation, started
+#: from the min-MLU LP and capped at 400 iterations, as computed by the
+#: per-destination dict loop the array iterate replaced.
+ABILENE_LP_START_UTILITY = 46.24304823732368
 
 
 class TestFrankWolfe:
@@ -95,6 +103,86 @@ class TestFrankWolfe:
         assert result.line_search_evaluations > 0
         assert result.flows.flow_on(1, 2) == pytest.approx(9.0, abs=1e-2)
         assert result.flows.flow_on(1, 3) == pytest.approx(9.0, abs=1e-2)
+
+
+@st.composite
+def loaded_instances(draw):
+    """A small strongly connected network whose min MLU is 0.5-0.98."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    capacity = st.floats(min_value=1.0, max_value=20.0)
+    net = Network(name="hypothesis")
+    for i in range(n):
+        net.add_link(i, (i + 1) % n, draw(capacity))
+    chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(chords.filter(lambda e: e[0] != e[1]), max_size=2 * n)):
+        if not net.has_link(u, v):
+            net.add_link(u, v, draw(capacity))
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    volume = st.floats(min_value=0.1, max_value=5.0)
+    demands = TrafficMatrix({pair: draw(volume) for pair in chosen})
+    fraction = draw(st.floats(min_value=0.5, max_value=0.98))
+    mlu = solve_min_mlu(net, demands, allow_overload=True).objective
+    return net, demands.scaled(fraction / mlu)
+
+
+class TestStart:
+    @given(instance=loaded_instances())
+    def test_start_is_strictly_feasible_and_conserves_flow(self, instance):
+        network, demands = instance
+        objective = LoadBalanceObjective.proportional()
+        loads = _start(network, demands, objective, RoutingKernel(network, demands))
+        flows = FlowAssignment.from_rows(network, demands.destinations(), loads)
+        assert flows.max_link_utilization() < 1.0
+        assert flows.conservation_violation(demands) <= 1e-9 * demands.total_volume()
+
+    def test_near_saturation_takes_the_counted_lp_fallback(self, diamond_network):
+        # Min MLU 0.995: the homotopy cannot get below its 0.99 margin.
+        demands = TrafficMatrix({(1, 4): 19.9})
+        with telemetry.session() as registry:
+            result = solve_frank_wolfe(
+                diamond_network, demands, LoadBalanceObjective.proportional()
+            )
+        assert registry.counter_value("solvers.te_start", path="lp", reason="budget") == 1
+        assert registry.counter_value("solvers.te_start") == 1
+        assert 0 < registry.counter_value("solvers.te_start_steps") <= START_STEPS
+        assert result.flows.max_link_utilization() == pytest.approx(0.995, abs=1e-6)
+
+    def test_lp_start_reproduces_the_dict_loop(self):
+        """With the LP start given, the array iterate follows the old trajectory."""
+        from repro.analysis.experiments import standard_instances
+        from repro.core.te_problem import TEProblem, solve_optimal_te
+
+        instance = standard_instances()["Abilene"]
+        demands = instance.at_fraction(0.85)
+        start = solve_min_mlu(instance.network, demands).flows
+        solution = solve_optimal_te(
+            TEProblem(instance.network, demands), initial_flows=start
+        )
+        assert solution.iterations == 400
+        assert solution.utility == pytest.approx(ABILENE_LP_START_UTILITY, rel=1e-9)
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("max_iterations", [0, 5, 300])
+    def test_gap_is_taken_at_the_returned_iterate(self, fig4, fig4_tm, max_iterations):
+        objective = LoadBalanceObjective.proportional()
+        result = solve_frank_wolfe(fig4, fig4_tm, objective, max_iterations=max_iterations)
+        aggregate = result.flows.aggregate()
+        weights = objective.congestion_gradient(fig4, aggregate)
+        np.testing.assert_array_equal(result.link_weights, weights)
+        target = all_or_nothing_assignment(fig4, fig4_tm, weights).aggregate()
+        gap = -np.dot(weights, target - aggregate)
+        assert result.duality_gap == pytest.approx(gap, rel=1e-9, abs=1e-12)
+        assert result.duality_gap >= 0
+        assert result.objective == objective.congestion_cost(fig4, aggregate)
+        assert result.iterations <= max_iterations
+
+    def test_gap_bounds_the_distance_to_a_longer_solve(self, fig4, fig4_tm):
+        objective = LoadBalanceObjective.proportional()
+        short = solve_frank_wolfe(fig4, fig4_tm, objective, max_iterations=5, tolerance=0.0)
+        long = solve_frank_wolfe(fig4, fig4_tm, objective, max_iterations=2000)
+        assert 0 <= short.objective - long.objective <= short.duality_gap
 
 
 class TestLineSearchWork:

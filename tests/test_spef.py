@@ -172,9 +172,11 @@ class OracleRouting:
         self.network, self.demands, self.dags = network, demands, dags
 
     def first_hop(self, weights):
+        """The oracle's loads as the kernel's ``(destinations, links)`` array."""
         from repro.solvers.assignment import all_or_nothing_assignment
 
-        return all_or_nothing_assignment(self.network, self.demands, weights)
+        flows = all_or_nothing_assignment(self.network, self.demands, weights)
+        return flows.rows(self.demands.destinations())
 
     def exponential(self, second_weights):
         from repro.core.traffic_distribution import traffic_distribution
@@ -267,3 +269,53 @@ class TestLineSearchFitContract:
         for fit in (newton_fit, reference_fit):
             assert abs(fit.optimality_gap()) <= 1e-3
             assert fit.flows.conservation_violation(demands) <= 1e-6 * volume
+
+
+def _fit_instances():
+    """``(name, network, demands)``: Abilene and Rand50a at 0.85 of saturation,
+    and rand100 under the CLI's gravity workload at 0.03 of capacity."""
+    from repro.analysis.experiments import standard_instances
+    from repro.cli import build_workload
+
+    standard = standard_instances()
+    for name in ("Abilene", "Rand50a"):
+        yield name, standard[name].network, standard[name].at_fraction(0.85)
+    yield ("rand100", *build_workload("rand100", 0.03, 0))
+
+
+class TestLpFreeStart:
+    def test_fits_never_call_the_min_mlu_lp(self, monkeypatch):
+        """A deterministic work count: zero LPs, one homotopy start per fit."""
+        import repro.solvers.frank_wolfe as frank_wolfe
+        import repro.solvers.mcf as mcf
+        from repro.obs import telemetry
+
+        instances = list(_fit_instances())  # the saturation LPs run here
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mcf.solve_min_mlu(*args, **kwargs)
+
+        monkeypatch.setattr(frank_wolfe, "solve_min_mlu", counted)
+        for name, network, demands in instances:
+            with telemetry.session() as registry:
+                fit = SPEF().fit(network, demands)
+            assert calls == [], name
+            assert registry.counter_value("solvers.te_start", path="homotopy") == 1, name
+            assert fit.max_link_utilization() < 1.0
+
+
+class TestOptimumCertificate:
+    @pytest.mark.parametrize("name", ["Abilene", "Rand50a"])
+    def test_realised_utility_exceeds_target_by_at_most_the_certificate(self, name):
+        """Any feasible flow's utility is at most the optimum, which is at most
+        the target's utility plus the Frank-Wolfe duality gap."""
+        from repro.analysis.experiments import standard_instances
+
+        instance = standard_instances()[name]
+        demands = instance.at_fraction(0.85)
+        fit = SPEF().fit(instance.network, demands)
+        certificate = fit.te_solution.duality_gap
+        assert 0 < certificate < 1e-3 * abs(fit.target_utility())
+        assert fit.utility() - fit.target_utility() <= certificate

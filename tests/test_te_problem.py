@@ -134,3 +134,26 @@ class TestOptimalityGap:
         value = solution.normalized_utility()
         assert np.isfinite(value)
         assert value < 0
+
+
+class TestSolverErrors:
+    """Both ways demands cannot be routed raise SolverError, not a routing error."""
+
+    def test_unroutable_demand(self):
+        from repro.network.graph import Network
+
+        net = Network(name="oneway")
+        net.add_link(1, 2, 10.0)
+        net.add_link(2, 3, 10.0)
+        demands = TrafficMatrix({(1, 3): 1.0, (3, 1): 2.0})
+        with pytest.raises(SolverError, match="cannot reach"):
+            solve_optimal_te(TEProblem(net, demands))
+
+    def test_capacity_infeasible_demands(self, diamond_network):
+        demands = TrafficMatrix({(1, 4): 25.0})  # exceeds the 20-unit cut
+        with pytest.raises(SolverError, match="min-MLU LP failed"):
+            solve_optimal_te(TEProblem(diamond_network, demands))
+
+    def test_lp_duality_gap_is_zero(self, fig1, fig1_tm):
+        problem = TEProblem(fig1, fig1_tm, LoadBalanceObjective.minimum_hop())
+        assert solve_optimal_te(problem).duality_gap == 0.0
